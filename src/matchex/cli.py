@@ -3,7 +3,8 @@
 Commands read MGF from a file argument or stdin ("-"), write results to
 stdout and diagnostics to stderr.  Exit codes: 0 holds / no counterexample,
 1 counterexample confirmed, 2 parse or configuration error,
-3 inconclusive.  Output is byte-identical across repeated runs; the only
+3 inconclusive, 4 internal error (an unexpected exception, never a
+verdict).  Output is byte-identical across repeated runs; the only
 environment hook is MATCHEX_CAP, which overrides the default enumeration
 cap when no --cap flag is given.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -34,6 +36,7 @@ EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_ERROR = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 CAP_ENV_VAR = "MATCHEX_CAP"
 
@@ -256,6 +259,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except Exception as exc:  # a crash must never read as a verdict
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

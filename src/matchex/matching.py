@@ -9,7 +9,8 @@ entry.  The module provides
   enumeration of all maximum matchings by branch-and-prune,
 * `brute_force_matching_number` / `brute_force_all_maximum_matchings` -
   an independent backtracking oracle (no blossom code path),
-* `gallai_edmonds` - the D/A/C decomposition via the deletion oracle,
+* `gallai_edmonds` - the D/A/C decomposition from one maximum matching
+  plus one alternating forest,
 * `tutte_berge_witness` - a deficiency-attaining vertex set, verified
   against the matching number before it is returned,
 * `hall_violator` - a witness set for unsaturated bipartite sides.
@@ -416,18 +417,58 @@ class GallaiEdmonds:
 
 
 def gallai_edmonds(g: Multigraph) -> GallaiEdmonds:
-    """Decomposition via the deletion oracle: v is in D iff deleting v
-    leaves the matching number unchanged."""
+    """Decomposition from one maximum matching plus one alternating forest.
+
+    Edmonds' search grows a tree from every exposed vertex at once,
+    contracting blossoms, until no outer vertex has an unexplored edge; D
+    is then exactly the set of outer (even) vertices.  An edge joining two
+    outer vertices of different trees would close an augmenting path, so it
+    raises: the matching was not maximum.
+    """
     n = g.n
     adj = _support_adj(g)
-    nu = _match_size(_solve_matching(adj))
-    d: set[int] = set()
-    alive = [True] * n
+    match = _solve_matching(adj)
+    p = [-1] * n
+    base = list(range(n))
+    outer = [False] * n
+    tree = [-1] * n  # exposed root of the tree a reached vertex belongs to
+    queue: deque[int] = deque()
     for v in range(n):
-        alive[v] = False
-        if _match_size(_solve_matching(adj, alive)) == nu:
-            d.add(v)
-        alive[v] = True
+        if match[v] == -1:
+            outer[v] = True
+            tree[v] = v
+            queue.append(v)
+    while queue:
+        v = queue.popleft()
+        for to in adj[v]:
+            if base[v] == base[to] or match[v] == to:
+                continue
+            if outer[to]:
+                # Exposed vertices are outer roots from the start, so one is
+                # never reached at odd depth: an edge to it from another
+                # tree is caught here.
+                if tree[to] != tree[v]:
+                    raise RuntimeError(
+                        f"alternating forest joins the trees of exposed vertices "
+                        f"{tree[v]} and {tree[to]}: the matching is not maximum; "
+                        "matching implementation is buggy")
+                cur = _lca(match, p, base, v, to)
+                in_blossom = [False] * n
+                _mark_path(match, p, base, in_blossom, v, cur, to)
+                _mark_path(match, p, base, in_blossom, to, cur, v)
+                for i in range(n):
+                    if in_blossom[base[i]]:
+                        base[i] = cur
+                        if not outer[i]:
+                            outer[i] = True
+                            queue.append(i)
+            elif p[to] == -1:
+                p[to] = v
+                mate = match[to]
+                tree[to] = tree[mate] = tree[v]
+                outer[mate] = True
+                queue.append(mate)
+    d = {v for v in range(n) if outer[v]}
     a = {w for v in d for w in adj[v]} - d
     c = set(range(n)) - d - a
     return GallaiEdmonds(d=frozenset(d), a=frozenset(a), c=frozenset(c))

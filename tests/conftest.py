@@ -7,7 +7,8 @@ import random
 
 from hypothesis import HealthCheck, settings
 
-from matchex import Multigraph, derive_item_seed
+from matchex import GallaiEdmonds, Multigraph, derive_item_seed
+from matchex.matching import _match_size, _solve_matching, _support_adj
 
 settings.register_profile(
     "stable",
@@ -16,6 +17,10 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("stable")
+
+# Seed of the 500-graph acceptance corpus (criterion 8 and the
+# Gallai-Edmonds oracle cross-check).
+CORPUS_SEED = 88
 
 # One line per acceptance criterion, echoed after the run so the verdicts
 # are visible without -s.
@@ -125,3 +130,21 @@ def random_subcubic_connected(rng: random.Random, n_min: int = 4,
             g.freeze()
             if g.is_connected():
                 return g
+
+
+def deletion_gallai_edmonds(g: Multigraph) -> GallaiEdmonds:
+    """Reference decomposition by the deletion oracle: v is in D iff
+    deleting v leaves the matching number unchanged (n+1 blossom solves)."""
+    n = g.n
+    adj = _support_adj(g)
+    nu = _match_size(_solve_matching(adj))
+    d: set[int] = set()
+    alive = [True] * n
+    for v in range(n):
+        alive[v] = False
+        if _match_size(_solve_matching(adj, alive)) == nu:
+            d.add(v)
+        alive[v] = True
+    a = {w for v in d for w in adj[v]} - d
+    c = set(range(n)) - d - a
+    return GallaiEdmonds(d=frozenset(d), a=frozenset(a), c=frozenset(c))

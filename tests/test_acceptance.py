@@ -39,6 +39,7 @@ from matchex.verify import METHOD_CERTIFICATE, METHOD_ENUMERATION, conjecture_ho
 
 from conftest import (
     ACCEPTANCE_LINES,
+    CORPUS_SEED,
     random_graph_corpus,
     random_subcubic_connected,
 )
@@ -50,7 +51,6 @@ ALL_SPECS = (
     + [FamilySpec("F", r) for r in range(5, 9)]
 )
 
-CORPUS_SEED = 88
 SUBCUBIC_SEED = 1010
 
 

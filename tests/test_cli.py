@@ -20,6 +20,7 @@ from matchex.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_ERROR,
     EXIT_INCONCLUSIVE,
+    EXIT_INTERNAL,
     EXIT_OK,
     main,
 )
@@ -175,6 +176,26 @@ def test_verify_parse_error(capsys, monkeypatch):
                            stdin_text="mgf 2\n0 0 1\n")
     assert code == EXIT_ERROR
     assert "line 2" in err
+
+
+def test_verify_crash_is_internal_error_not_verdict(tmp_path, capsys):
+    # two disjoint 1501-vertex paths: the recursive enumerator exceeds
+    # Python's recursion limit, which must not exit 1 (= counterexample)
+    from matchex import Multigraph
+
+    g = Multigraph(3002)
+    for start in (0, 1501):
+        for v in range(start, start + 1500):
+            g.add_edges(v, v + 1, 1)
+    target = tmp_path / "two_paths.mgf"
+    target.write_text(serialize_mgf(g.freeze()), encoding="utf-8")
+    code, out, err = run_cli(["verify", str(target), "--mode", "some-pair"], capsys)
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert "internal error: RecursionError" in err
+    code, out, _ = run_cli(["info", str(target)], capsys)
+    assert code == EXIT_OK
+    assert "deficiency=2" in out
 
 
 def test_verify_bad_cap(capsys, monkeypatch):

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import networkx as nx
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import matchex.matching as matching_mod
 from matchex import (
     BRUTE_FORCE_EDGE_LIMIT,
     Matching,
@@ -17,7 +19,9 @@ from matchex import (
     brute_force_all_maximum_matchings,
     brute_force_matching_number,
     build_B,
+    build_F,
     build_G,
+    build_H,
     deficiency,
     derive_item_seed,
     enumerate_maximum_matchings,
@@ -31,8 +35,10 @@ from matchex import (
 )
 
 from conftest import (
+    CORPUS_SEED,
     complete_graph,
     cycle_graph,
+    deletion_gallai_edmonds,
     disjoint_triangles,
     path_graph,
     petersen_graph,
@@ -289,6 +295,65 @@ def test_gallai_edmonds_partition_and_exposure_on_corpus():
         for m in enum.matchings:
             exposable |= exposed_vertices(g, m)
         assert ge.d == frozenset(exposable)
+
+
+def test_gallai_edmonds_matches_deletion_oracle_on_acceptance_corpus():
+    corpus = random_graph_corpus(seed=CORPUS_SEED, count=500,
+                                 max_n=12, max_support_edges=32)
+    for g in corpus:
+        assert gallai_edmonds(g) == deletion_gallai_edmonds(g)
+
+
+@pytest.mark.parametrize(
+    "build, r",
+    [(build_B, 2), (build_B, 3), (build_B, 4), (build_G, 3), (build_H, 3),
+     (build_F, 5), (build_F, 6)],
+)
+def test_gallai_edmonds_matches_deletion_oracle_on_families(build, r):
+    g = build(r)
+    assert gallai_edmonds(g) == deletion_gallai_edmonds(g)
+
+
+@given(small_multigraphs())
+def test_property_gallai_edmonds_matches_deletion_oracle(g):
+    assert gallai_edmonds(g) == deletion_gallai_edmonds(g)
+
+
+def _timed_gallai_edmonds(g):
+    start = time.perf_counter()
+    ge = gallai_edmonds(g)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, f"gallai_edmonds took {elapsed:.2f}s on n={g.n}"
+    return ge
+
+
+def test_gallai_edmonds_B12_closed_form():
+    # pair vertices come first (2r^2 - r of them), then the 2r^2 copy
+    # vertices; every maximum matching saturates the pair side
+    r = 12
+    g = build_B(r)
+    assert g.n == 564
+    ge = _timed_gallai_edmonds(g)
+    assert ge.d == frozenset(range(2 * r * r - r, g.n))
+    assert ge.a == frozenset(range(2 * r * r - r))
+    assert ge.c == frozenset()
+
+
+def test_gallai_edmonds_long_path():
+    g = path_graph(5001)
+    ge = _timed_gallai_edmonds(g)
+    assert ge.d == frozenset(range(0, g.n, 2))
+    assert ge.a == frozenset(range(1, g.n, 2))
+    assert ge.c == frozenset()
+
+
+def test_gallai_edmonds_raises_on_non_maximum_matching(monkeypatch):
+    # an empty "maximum" matching leaves both ends of every edge exposed,
+    # so the forest meets an outer-outer edge between two trees
+    monkeypatch.setattr(matching_mod, "_solve_matching",
+                        lambda adj, alive=None, match=None: [-1] * len(adj))
+    with pytest.raises(RuntimeError, match="matching implementation is buggy"):
+        gallai_edmonds(path_graph(3))
 
 
 # -------------------------------------------------------------- Tutte-Berge
