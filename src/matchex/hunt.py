@@ -8,6 +8,7 @@ can be split across worker processes without changing its output.
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -188,15 +189,22 @@ def _run_item(config: HuntConfig, index: int) -> HuntItem:
                     exhaustive=report.exhaustive, mgf=mgf)
 
 
+def _worker_count(requested: int, count: int) -> int:
+    """Processes worth starting: no more than the items or the CPUs."""
+    return min(requested, count, os.cpu_count() or 1)
+
+
 def hunt(config: HuntConfig, workers: int = 1) -> HuntSummary:
     """Test `config.count` random regular graphs.
 
-    Items are independent; with workers > 1 they run in a process pool and
-    are reassembled by index, so the summary is identical either way.
+    Items are independent; with workers > 1 they run in a process pool of
+    at most `config.count` and the CPU count processes, and are reassembled
+    by index, so the summary is identical either way.
     """
     config.validate()
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = _worker_count(workers, config.count)
     indices = range(config.count)
     if workers == 1:
         items = [_run_item(config, i) for i in indices]

@@ -6,7 +6,9 @@ entry.  The module provides
 
 * `maximum_matching` - deterministic blossom-style augmentation,
 * `visit_maximum_matchings` / `enumerate_maximum_matchings` - exhaustive
-  enumeration of all maximum matchings by branch-and-prune,
+  enumeration of all maximum matchings by branch-and-prune over an
+  explicit stack; each branch is checked by single-root augmenting
+  searches from the partners it frees only,
 * `brute_force_matching_number` / `brute_force_all_maximum_matchings` -
   an independent backtracking oracle (no blossom code path),
 * `gallai_edmonds` - the D/A/C decomposition from one maximum matching
@@ -49,6 +51,16 @@ class Matching:
         self._edges = frozenset(normalized)
         self._partner = partner
 
+    @classmethod
+    def _trusted(cls, edges: frozenset[tuple[int, int]], partner: dict[int, int]) -> Matching:
+        """Matching from vertex-disjoint (u, v) edges with u < v and their
+        symmetric partner map, unchecked and owned by the new object; for
+        callers that only build such edges."""
+        m = cls.__new__(cls)
+        m._edges = edges
+        m._partner = partner
+        return m
+
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         return self._edges
@@ -67,6 +79,10 @@ class Matching:
 
     def partner(self, v: int) -> Optional[int]:
         return self._partner.get(v)
+
+    def unsaturated(self, vertices: frozenset[int]) -> frozenset[int]:
+        """The members of `vertices` that the matching leaves exposed."""
+        return vertices.difference(self._partner)
 
     def validate_in(self, g: Multigraph) -> None:
         """Reject matchings that use vertices or bundles g does not have."""
@@ -246,81 +262,108 @@ def visit_maximum_matchings(g: Multigraph, visit: Callable[[Matching], Optional[
                             cap: Optional[int] = None) -> EnumerationStats:
     """Call `visit` on every maximum matching of g, in a fixed order.
 
-    Branches on the smallest live vertex: first the branch that leaves it
-    exposed, then one branch per live neighbor, ascending.  A branch is
-    explored only when the residual matching number still allows a maximum
-    matching, which both prunes and dedupes (branches are disjoint).
-    `visit` may return False to stop early; `cap` bounds the number of
-    matchings delivered.
+    Branches on the smallest live vertex v with a live neighbor: first the
+    branch that leaves v exposed, then one branch per live neighbor w,
+    ascending, that matches v-w.  A branch is explored only when the
+    residual matching number still allows a maximum matching, which both
+    prunes and dedupes (branches are disjoint).  `visit` may return False
+    to stop early; `cap` bounds the number of matchings delivered.
+
+    The walk keeps its branch points on an explicit stack, so its depth is
+    not bounded by Python's recursion limit.  Each node holds a maximum
+    matching `hint` of its live graph.  Deleting v (and w) from it loses
+    at most one edge more than the branch may, and any augmenting path
+    then ends at a partner the deletion freed: a path between two vertices
+    `hint` already left exposed would augment `hint` itself (Edmonds 1965).
+    So one single-root search per freed partner, at most two per branch,
+    decides feasibility exactly.
     """
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     n = g.n
     adj = _support_adj(g)
-    base = _solve_matching(adj)
-    target = _match_size(base)
     alive = [True] * n
+    is_alive = alive.__getitem__
     chosen: list[tuple[int, int]] = []
-    state = {"count": 0, "stopped": False}
+    partner: dict[int, int] = {}
+    count = 0
 
-    def residual_with(killed: tuple[int, ...], hint: list[int], want: int) -> Optional[list[int]]:
-        # Matching of the residual graph minus `killed` reaching size `want`,
-        # seeded from the parent matching; None when `want` is unreachable.
+    def residual(hint: list[int], v: int, w: int) -> Optional[list[int]]:
+        # Maximum matching of the live graph once v, and w when the branch
+        # matches v-w (w >= 0), are dead; None when it falls short of what
+        # the branch needs.  Live vertices of a returned array are matched
+        # only to live ones; entries of dead vertices are stale.
+        if hint[v] == w:  # v exposed (w == -1), or v-w already in hint
+            return hint
         m2 = hint.copy()
-        size = target - len(chosen)
-        for x in killed:
+        freed = []
+        for x in (v, w) if w >= 0 else (v,):
             px = m2[x]
             if px != -1:
-                m2[px] = -1
-                m2[x] = -1
-                size -= 1
-            alive[x] = False
-        if size < want:
-            for root in range(n):
-                if size >= want:
-                    break
-                if alive[root] and m2[root] == -1 and _augment_from(adj, alive, m2, root):
-                    size += 1
-        for x in killed:
-            alive[x] = True
-        return m2 if size >= want else None
+                m2[px] = m2[x] = -1
+                freed.append(px)
+        if w >= 0 and len(freed) < 2:  # the v-w branch may lose one edge
+            return m2
+        for root in freed:
+            if _augment_from(adj, alive, m2, root):
+                return m2
+        return None
 
-    def walk(hint: list[int], remaining: int) -> bool:
+    # A frame [v, hint, remaining, j] is an inner node branching on v; its
+    # v-w branches resume at w = adj[v][j], and j > 0 means the branch to
+    # adj[v][j - 1] is the one being explored.  v stays dead while its frame
+    # is on the stack.
+    stack: list[list] = []
+    hint = _solve_matching(adj)
+    remaining = _match_size(hint)
+    start = 0
+    while True:
         if remaining == 0:
-            if cap is not None and state["count"] >= cap:
-                state["stopped"] = True
-                return False
-            state["count"] += 1
-            return visit(Matching(chosen)) is not False
-        v = -1
-        for u in range(n):
-            if alive[u] and any(alive[w] for w in adj[u]):
-                v = u
-                break
-        # remaining > 0 guarantees a live edge, hence v >= 0
-        m2 = residual_with((v,), hint, remaining)
-        if m2 is not None:
+            if cap is not None and count >= cap:
+                return EnumerationStats(count=count, exhaustive=False)
+            count += 1
+            if visit(Matching._trusted(frozenset(chosen), partner.copy())) is False:
+                return EnumerationStats(count=count, exhaustive=False)
+        else:
+            # Vertices below the parent's v are dead or isolated, and stay so.
+            v = start
+            while not (alive[v] and any(map(is_alive, adj[v]))):
+                v += 1
             alive[v] = False
-            ok = walk(m2, remaining)
-            alive[v] = True
-            if not ok:
-                return False
-        for w in adj[v]:
-            if not alive[w]:
-                continue
-            m2 = residual_with((v, w), hint, remaining - 1)
+            stack.append([v, hint, remaining, 0])
+            m2 = residual(hint, v, -1)
             if m2 is not None:
-                alive[v] = alive[w] = False
-                chosen.append((v, w) if v < w else (w, v))
-                ok = walk(m2, remaining - 1)
+                hint, start = m2, v + 1
+                continue
+        while stack:
+            frame = stack[-1]
+            v, hint, remaining, j = frame
+            nbrs = adj[v]
+            if j:
+                w = nbrs[j - 1]
+                alive[w] = True
                 chosen.pop()
-                alive[v] = alive[w] = True
-                if not ok:
-                    return False
-        return True
-
-    finished = walk(base, target)
-    return EnumerationStats(count=state["count"], exhaustive=finished and not state["stopped"])
+                del partner[v], partner[w]
+            for j in range(j, len(nbrs)):
+                w = nbrs[j]
+                if alive[w]:
+                    alive[w] = False
+                    m2 = residual(hint, v, w)
+                    if m2 is not None:
+                        break
+                    alive[w] = True
+            else:
+                alive[v] = True
+                stack.pop()
+                continue
+            frame[3] = j + 1
+            chosen.append((v, w) if v < w else (w, v))
+            partner[v] = w
+            partner[w] = v
+            hint, remaining, start = m2, remaining - 1, v + 1
+            break
+        else:
+            return EnumerationStats(count=count, exhaustive=True)
 
 
 def enumerate_maximum_matchings(g: Multigraph, cap: Optional[int] = None) -> MatchingEnumeration:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from .matching import (
@@ -105,23 +106,42 @@ def _validate_cap(cap: int) -> None:
         raise ValueError(f"cap must be >= 1, got {cap}")
 
 
-def _sharing_pair(g: Multigraph, exposed: Sequence[int]) -> Optional[tuple[int, int, int]]:
+class _SmallestCommonNeighbor(dict):
+    """Memo from a vertex pair (a, b), a < b, to the smallest common
+    neighbor of a and b in g, or -1 when they share none."""
+
+    def __init__(self, g: Multigraph):
+        super().__init__()
+        self._g = g
+
+    def __missing__(self, pair: tuple[int, int]) -> int:
+        shared = self._g.common_neighbors(*pair)
+        common = self[pair] = min(shared) if shared else -1
+        return common
+
+
+def _exposed(m: Matching, vertices: frozenset[int]) -> tuple[int, ...]:
+    """The vertices m leaves exposed, ascending; `vertices` is all of g."""
+    return tuple(sorted(m.unsaturated(vertices)))
+
+
+def _sharing_pair(exposed: Sequence[int],
+                  common: _SmallestCommonNeighbor) -> Optional[tuple[int, int, int]]:
     """First exposed pair (ascending) with a common neighbor, plus the
     smallest such neighbor."""
-    for a in range(len(exposed)):
-        for b in range(a + 1, len(exposed)):
-            shared = g.common_neighbors(exposed[a], exposed[b])
-            if shared:
-                return exposed[a], exposed[b], min(shared)
+    for pair in combinations(exposed, 2):
+        c = common[pair]
+        if c >= 0:
+            return pair[0], pair[1], c
     return None
 
 
-def _lonely_pair(g: Multigraph, exposed: Sequence[int]) -> Optional[tuple[int, int]]:
+def _lonely_pair(exposed: Sequence[int],
+                 common: _SmallestCommonNeighbor) -> Optional[tuple[int, int]]:
     """First exposed pair with no common neighbor."""
-    for a in range(len(exposed)):
-        for b in range(a + 1, len(exposed)):
-            if not g.common_neighbors(exposed[a], exposed[b]):
-                return exposed[a], exposed[b]
+    for pair in combinations(exposed, 2):
+        if common[pair] < 0:
+            return pair
     return None
 
 
@@ -211,13 +231,13 @@ def conjecture_holds(g: Multigraph, cap: int = DEFAULT_CAP) -> VerificationRepor
     matching that satisfies the property.  Cap exhaustion is inconclusive.
     """
     _validate_cap(cap)
+    vertices = frozenset(range(g.n))
     defic = deficiency(g)
     if defic <= 1:
         m = maximum_matching(g)
-        exposed = tuple(sorted(v for v in range(g.n) if not m.saturates(v)))
         return VerificationReport(
             verdict=Verdict.HOLDS, method=METHOD_SHORT_CIRCUIT,
-            witness=MatchingWitness(m, exposed),
+            witness=MatchingWitness(m, _exposed(m, vertices)),
             detail=f"deficiency {defic} <= 1, no exposed pair can exist")
     cert = strong_counterexample_certificate(g)
     if cert is not None:
@@ -232,10 +252,11 @@ def conjecture_holds(g: Multigraph, cap: int = DEFAULT_CAP) -> VerificationRepor
                 verdict=Verdict.COUNTEREXAMPLE, method=METHOD_CERTIFICATE, witness=weak,
                 detail=f"deficiency {weak.deficiency} exceeds {len(classes)} hub classes")
     found: list[MatchingWitness] = []
+    common = _SmallestCommonNeighbor(g)
 
     def check(m: Matching) -> bool:
-        exposed = tuple(sorted(v for v in range(g.n) if not m.saturates(v)))
-        if _sharing_pair(g, exposed) is None:
+        exposed = _exposed(m, vertices)
+        if _sharing_pair(exposed, common) is None:
             found.append(MatchingWitness(m, exposed))
             return False
         return True
@@ -249,8 +270,8 @@ def conjecture_holds(g: Multigraph, cap: int = DEFAULT_CAP) -> VerificationRepor
             detail="found a maximum matching with common-neighbor-free exposed set")
     if stats.exhaustive:
         m0 = maximum_matching(g)
-        exposed = tuple(sorted(v for v in range(g.n) if not m0.saturates(v)))
-        pair = _sharing_pair(g, exposed)
+        exposed = _exposed(m0, vertices)
+        pair = _sharing_pair(exposed, common)
         return VerificationReport(
             verdict=Verdict.COUNTEREXAMPLE, method=METHOD_ENUMERATION,
             matchings_examined=stats.count, exhaustive=True,
@@ -272,33 +293,34 @@ def is_counterexample(g: Multigraph, mode: PairMode, cap: int = DEFAULT_CAP,
     hub classes for the weak certificate.
     """
     _validate_cap(cap)
+    vertices = frozenset(range(g.n))
     defic = deficiency(g)
     if defic < 2:
         m = maximum_matching(g)
-        exposed = tuple(sorted(v for v in range(g.n) if not m.saturates(v)))
         return VerificationReport(
             verdict=Verdict.HOLDS, method=METHOD_SHORT_CIRCUIT,
-            witness=MatchingWitness(m, exposed),
+            witness=MatchingWitness(m, _exposed(m, vertices)),
             detail=f"deficiency {defic} < 2, cannot be a counterexample")
     refuting: list[MatchingWitness] = []
     sample: list[MatchingWitness] = []
+    common = _SmallestCommonNeighbor(g)
 
     def check(m: Matching) -> bool:
-        exposed = tuple(sorted(v for v in range(g.n) if not m.saturates(v)))
+        exposed = _exposed(m, vertices)
         if mode is PairMode.SOME_PAIR:
-            hit = _sharing_pair(g, exposed)
+            hit = _sharing_pair(exposed, common)
             if hit is None:
                 refuting.append(MatchingWitness(m, exposed))
                 return False
             if not sample:
                 sample.append(MatchingWitness(m, exposed, (hit[0], hit[1]), hit[2]))
         else:
-            miss = _lonely_pair(g, exposed)
+            miss = _lonely_pair(exposed, common)
             if miss is not None:
                 refuting.append(MatchingWitness(m, exposed, miss))
                 return False
             if not sample:
-                hit = _sharing_pair(g, exposed)
+                hit = _sharing_pair(exposed, common)
                 sample.append(MatchingWitness(m, exposed, (hit[0], hit[1]), hit[2]))
         return True
 
@@ -381,17 +403,17 @@ def all_maximum_matchings_saturate(g: Multigraph, s: Sequence[int],
     disagreement on an exhaustive run raises.
     """
     _validate_cap(cap)
-    s_set = set(s)
+    s_set = frozenset(s)
     for v in s_set:
         g._check_vertex(v)
     ge = gallai_edmonds(g)
     bad = sorted(s_set & ge.d)
+    vertices = frozenset(range(g.n))
     exposed_hits: list[MatchingWitness] = []
 
     def check(m: Matching) -> bool:
-        exposed = {v for v in range(g.n) if not m.saturates(v)}
-        if exposed & s_set and not exposed_hits:
-            exposed_hits.append(MatchingWitness(m, tuple(sorted(exposed))))
+        if not exposed_hits and m.unsaturated(s_set):
+            exposed_hits.append(MatchingWitness(m, _exposed(m, vertices)))
         return True
 
     stats = visit_maximum_matchings(g, check, cap=cap)
@@ -424,5 +446,4 @@ def _matching_exposing(g: Multigraph, v: int) -> tuple[Matching, tuple[int, ...]
     alive[v] = False
     arr = _solve_matching(_support_adj(g), alive)
     m = Matching((u, arr[u]) for u in range(g.n) if u < arr[u])
-    exposed = tuple(sorted(u for u in range(g.n) if not m.saturates(u)))
-    return m, exposed
+    return m, _exposed(m, frozenset(range(g.n)))

@@ -4,11 +4,19 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import Callable, Optional
 
 from hypothesis import HealthCheck, settings
 
 from matchex import GallaiEdmonds, Multigraph, derive_item_seed
-from matchex.matching import _match_size, _solve_matching, _support_adj
+from matchex.matching import (
+    EnumerationStats,
+    Matching,
+    _augment_from,
+    _match_size,
+    _solve_matching,
+    _support_adj,
+)
 
 settings.register_profile(
     "stable",
@@ -148,3 +156,88 @@ def deletion_gallai_edmonds(g: Multigraph) -> GallaiEdmonds:
     a = {w for v in d for w in adj[v]} - d
     c = set(range(n)) - d - a
     return GallaiEdmonds(d=frozenset(d), a=frozenset(a), c=frozenset(c))
+
+
+def reference_visit_maximum_matchings(
+        g: Multigraph, visit: Callable[[Matching], Optional[bool]],
+        cap: Optional[int] = None) -> EnumerationStats:
+    """Reference enumerator: the recursive branch-and-prune walk that
+    `visit_maximum_matchings` replaced, kept verbatim.  It rescans every
+    exposed root per branch and recurses once per tree level, so keep it
+    to small graphs.
+
+    Branches on the smallest live vertex: first the branch that leaves it
+    exposed, then one branch per live neighbor, ascending.  A branch is
+    explored only when the residual matching number still allows a maximum
+    matching, which both prunes and dedupes (branches are disjoint).
+    `visit` may return False to stop early; `cap` bounds the number of
+    matchings delivered.
+    """
+    if cap is not None and cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
+    n = g.n
+    adj = _support_adj(g)
+    base = _solve_matching(adj)
+    target = _match_size(base)
+    alive = [True] * n
+    chosen: list[tuple[int, int]] = []
+    state = {"count": 0, "stopped": False}
+
+    def residual_with(killed: tuple[int, ...], hint: list[int], want: int) -> Optional[list[int]]:
+        # Matching of the residual graph minus `killed` reaching size `want`,
+        # seeded from the parent matching; None when `want` is unreachable.
+        m2 = hint.copy()
+        size = target - len(chosen)
+        for x in killed:
+            px = m2[x]
+            if px != -1:
+                m2[px] = -1
+                m2[x] = -1
+                size -= 1
+            alive[x] = False
+        if size < want:
+            for root in range(n):
+                if size >= want:
+                    break
+                if alive[root] and m2[root] == -1 and _augment_from(adj, alive, m2, root):
+                    size += 1
+        for x in killed:
+            alive[x] = True
+        return m2 if size >= want else None
+
+    def walk(hint: list[int], remaining: int) -> bool:
+        if remaining == 0:
+            if cap is not None and state["count"] >= cap:
+                state["stopped"] = True
+                return False
+            state["count"] += 1
+            return visit(Matching(chosen)) is not False
+        v = -1
+        for u in range(n):
+            if alive[u] and any(alive[w] for w in adj[u]):
+                v = u
+                break
+        # remaining > 0 guarantees a live edge, hence v >= 0
+        m2 = residual_with((v,), hint, remaining)
+        if m2 is not None:
+            alive[v] = False
+            ok = walk(m2, remaining)
+            alive[v] = True
+            if not ok:
+                return False
+        for w in adj[v]:
+            if not alive[w]:
+                continue
+            m2 = residual_with((v, w), hint, remaining - 1)
+            if m2 is not None:
+                alive[v] = alive[w] = False
+                chosen.append((v, w) if v < w else (w, v))
+                ok = walk(m2, remaining - 1)
+                chosen.pop()
+                alive[v] = alive[w] = True
+                if not ok:
+                    return False
+        return True
+
+    finished = walk(base, target)
+    return EnumerationStats(count=state["count"], exhaustive=finished and not state["stopped"])

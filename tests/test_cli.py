@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import sys
+import time
 
 import pytest
 
@@ -178,24 +180,54 @@ def test_verify_parse_error(capsys, monkeypatch):
     assert "line 2" in err
 
 
-def test_verify_crash_is_internal_error_not_verdict(tmp_path, capsys):
-    # two disjoint 1501-vertex paths: the recursive enumerator exceeds
-    # Python's recursion limit, which must not exit 1 (= counterexample)
+def two_paths_file(tmp_path, length: int):
+    """Two disjoint paths on `length` vertices each, as an MGF file."""
     from matchex import Multigraph
 
-    g = Multigraph(3002)
-    for start in (0, 1501):
-        for v in range(start, start + 1500):
+    g = Multigraph(2 * length)
+    for start in (0, length):
+        for v in range(start, start + length - 1):
             g.add_edges(v, v + 1, 1)
     target = tmp_path / "two_paths.mgf"
     target.write_text(serialize_mgf(g.freeze()), encoding="utf-8")
-    code, out, err = run_cli(["verify", str(target), "--mode", "some-pair"], capsys)
-    assert code == EXIT_INTERNAL
-    assert out == ""
-    assert "internal error: RecursionError" in err
+    return target
+
+
+@pytest.mark.parametrize("mode", ["some-pair", "all-pairs"])
+def test_verify_two_long_paths_decides(tmp_path, capsys, mode):
+    # 3002 vertices, deficiency 2: deeper than Python's recursion limit
+    target = two_paths_file(tmp_path, 1501)
+    code, out, _ = run_cli(["verify", str(target), "--mode", mode], capsys)
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[0] == "verdict=holds method=enumeration matchings=1 exhaustive=false"
+    assert lines[1].endswith(" exposed=0,1501" + (" pair=0,1501" if mode == "all-pairs" else ""))
     code, out, _ = run_cli(["info", str(target)], capsys)
     assert code == EXIT_OK
     assert "deficiency=2" in out
+
+
+def test_verify_deep_enumeration_under_wall_bound(tmp_path, capsys):
+    # one branch level per matched edge: 2500 levels before the first matching
+    target = two_paths_file(tmp_path, 2501)
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(["verify", str(target), "--mode", "some-pair"], capsys)
+    assert time.perf_counter() - t0 < 30.0
+    assert code == EXIT_OK
+    assert out.startswith("verdict=holds method=enumeration matchings=1 exhaustive=false\n")
+
+
+def test_verify_crash_is_internal_error_not_verdict(capsys, monkeypatch):
+    # an unexpected exception must not exit 1 (= counterexample)
+    def crash(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("matchex.verify.is_counterexample", crash)
+    code, out, err = run_cli(["verify", "--mode", "some-pair"], capsys, monkeypatch,
+                             stdin_text=serialize_mgf(build_B(2)))
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert "internal error: RecursionError: maximum recursion depth exceeded" in err
 
 
 def test_verify_bad_cap(capsys, monkeypatch):
@@ -256,6 +288,18 @@ def test_enumerate_capped(capsys, monkeypatch):
     lines = out.splitlines()
     assert len(lines) == 4
     assert lines[3] == "count=3 exhaustive=false"
+
+
+def test_enumerate_B2_order_pinned(capsys, monkeypatch):
+    # sha256 of the output of the recursive enumerator this one replaced
+    code, out, _ = run_cli(["enumerate"], capsys, monkeypatch,
+                           stdin_text=serialize_mgf(build_B(2)))
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert len(lines) == 449
+    assert lines[-1] == "count=448 exhaustive=true"
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "dcabc739ead3c8f37c5bcf8b272c225c1c4ac322ac1069a7a3e326b489282442")
 
 
 # --------------------------------------------------------------------- hunt

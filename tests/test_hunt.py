@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import os
 
 import pytest
 
@@ -162,6 +163,15 @@ def test_hunt_item_seeds_follow_derivation():
     assert summary.item_seeds == tuple(derive_item_seed(42, i) for i in range(7))
     assert [it.index for it in summary.items] == list(range(7))
     assert all(it.n in cfg.feasible_sizes() for it in summary.items)
+
+
+@pytest.mark.parametrize(
+    "requested, count, cpus, expect",
+    [(1, 5, 2, 1), (2, 5, 2, 2), (3, 5, 2, 2), (3, 2, 4, 2), (3, 5, None, 1)],
+)
+def test_worker_count_clamped_to_items_and_cpus(monkeypatch, requested, count, cpus, expect):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert hunt_mod._worker_count(requested, count) == expect
 
 
 def test_hunt_workers_validation():

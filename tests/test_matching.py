@@ -43,6 +43,7 @@ from conftest import (
     path_graph,
     petersen_graph,
     random_graph_corpus,
+    reference_visit_maximum_matchings,
     star_graph,
 )
 
@@ -129,6 +130,8 @@ def test_maximum_matching_deterministic():
         (cycle_graph(5), 5),
         (complete_graph(4), 3),
         (petersen_graph(), 6),
+        (path_graph(201), 101),
+        (cycle_graph(201), 201),
     ],
 )
 def test_enumeration_counts_known(g, count):
@@ -182,6 +185,17 @@ def test_visited_matchings_are_maximum_and_valid():
 
     stats = visit_maximum_matchings(g, check)
     assert stats.exhaustive
+
+
+@pytest.mark.parametrize("build", [path_graph, cycle_graph])
+def test_enumeration_depth_beyond_recursion_limit(build):
+    # 2500 branch levels lie above the first matching
+    g = build(5001)
+    start = time.perf_counter()
+    stats = visit_maximum_matchings(g, lambda m: False)
+    elapsed = time.perf_counter() - start
+    assert stats.count == 1 and not stats.exhaustive
+    assert elapsed < 30.0, f"first matching took {elapsed:.2f}s on n={g.n}"
 
 
 # --------------------------------------------------------- oracle agreement
@@ -261,6 +275,64 @@ def test_property_multiplicities_do_not_matter(g):
         enumerate_maximum_matchings(s).matchings
     )
     assert gallai_edmonds(g) == gallai_edmonds(s)
+
+
+# ------------------------------------------- reference enumerator agreement
+
+
+def _visit_trace(enumerator, g, cap=None, stop_after=None):
+    """Matchings an enumerator delivers, in order, and its stats; the
+    visitor stops it at the `stop_after`-th matching when given."""
+    seen = []
+
+    def visit(m):
+        seen.append(m.sorted_edges())
+        return stop_after is None or len(seen) < stop_after
+
+    stats = enumerator(g, visit, cap=cap)
+    return seen, stats
+
+
+def _assert_same_as_reference(g, cap=None, stop_after=None):
+    got = _visit_trace(visit_maximum_matchings, g, cap, stop_after)
+    assert got == _visit_trace(reference_visit_maximum_matchings, g, cap, stop_after)
+    return got
+
+
+def test_enumerator_matches_reference_on_acceptance_corpus():
+    corpus = random_graph_corpus(seed=CORPUS_SEED, count=500,
+                                 max_n=12, max_support_edges=32)
+    for g in corpus:
+        seen, stats = _assert_same_as_reference(g)
+        assert stats.exhaustive and stats.count == len(seen)
+        if stats.count > 1:
+            # the cap ends the walk one matching early; the visitor halfway
+            _assert_same_as_reference(g, cap=stats.count - 1)
+            _assert_same_as_reference(g, stop_after=(stats.count + 1) // 2)
+
+
+@pytest.mark.parametrize(
+    "build, r, cap, count, exhaustive",
+    [(build_B, 2, None, 448, True), (build_G, 3, None, 17010, True),
+     (build_H, 3, None, 17010, True), (build_F, 5, None, 4320, True),
+     (build_F, 6, None, 25920, True), (build_G, 4, 5000, 5000, False)],
+)
+def test_enumerator_matches_reference_on_families(build, r, cap, count, exhaustive):
+    seen, stats = _assert_same_as_reference(build(r), cap=cap)
+    assert (stats.count, stats.exhaustive) == (count, exhaustive)
+    assert len(seen) == count
+
+
+def test_enumerator_early_stop_matches_reference():
+    seen, stats = _assert_same_as_reference(build_G(3), stop_after=1000)
+    assert len(seen) == stats.count == 1000 and not stats.exhaustive
+
+
+@given(small_multigraphs(), st.integers(1, 6), st.integers(1, 6))
+def test_property_enumerator_matches_reference(g, cap, stop_after):
+    _assert_same_as_reference(g)
+    _assert_same_as_reference(g, cap=cap)
+    _assert_same_as_reference(g, stop_after=stop_after)
 
 
 # ---------------------------------------------------------- Gallai-Edmonds
