@@ -32,8 +32,10 @@ from .matching import (
     EnumerationStats,
     GallaiEdmonds,
     Matching,
+    MatchingAnalysis,
     MatchingEnumeration,
     TutteBergeWitness,
+    analyze,
     brute_force_all_maximum_matchings,
     brute_force_matching_number,
     deficiency,

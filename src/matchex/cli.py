@@ -23,9 +23,7 @@ from .hunt import DEFAULT_RETRY_BUDGET, HuntConfig, format_summary
 from .hunt import hunt as run_hunt
 from .matching import (
     Matching,
-    deficiency,
-    gallai_edmonds,
-    matching_number,
+    analyze,
     maximum_matching,
     tutte_berge_witness,
     visit_maximum_matchings,
@@ -121,9 +119,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _cmd_info(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    nu = matching_number(g)
-    ge = gallai_edmonds(g)
-    tb = tutte_berge_witness(g)
+    analysis = analyze(g)
+    tb = tutte_berge_witness(analysis)
     if g.n == 0:
         degrees = "empty"
     else:
@@ -135,8 +132,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
             degrees = (f"biregular({cls.a},{cls.b})" if cls is not None
                        else f"irregular(max={hi},min={lo})")
     print(f"n={g.n} m={g.weighted_edge_count()} support_edges={g.support_edge_count()} "
-          f"degrees={degrees} nu={nu} deficiency={g.n - 2 * nu} d_size={len(ge.d)} "
-          f"witness_s={len(tb.s)} odd_components={tb.odd_count}")
+          f"degrees={degrees} nu={len(analysis.matching)} deficiency={analysis.deficiency} "
+          f"d_size={len(analysis.ge.d)} witness_s={len(tb.s)} odd_components={tb.odd_count}")
     return EXIT_OK
 
 
@@ -185,10 +182,9 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    highlight: tuple[int, ...] = ()
+    highlight: frozenset[int] = frozenset()
     if args.mark_exposed:
-        m = maximum_matching(g)
-        highlight = tuple(v for v in range(g.n) if not m.saturates(v))
+        highlight = maximum_matching(g).unsaturated(frozenset(range(g.n)))
     sys.stdout.write(export_dot(g, highlight=highlight))
     return EXIT_OK
 

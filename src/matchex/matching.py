@@ -11,10 +11,11 @@ entry.  The module provides
   searches from the partners it frees only,
 * `brute_force_matching_number` / `brute_force_all_maximum_matchings` -
   an independent backtracking oracle (no blossom code path),
-* `gallai_edmonds` - the D/A/C decomposition from one maximum matching
-  plus one alternating forest,
-* `tutte_berge_witness` - a deficiency-attaining vertex set, verified
-  against the matching number before it is returned,
+* `analyze` - one `MatchingAnalysis` per graph: a maximum matching, the
+  deficiency and the Gallai-Edmonds D/A/C decomposition, from one blossom
+  solve plus one alternating forest; `gallai_edmonds` returns its D/A/C,
+* `tutte_berge_witness` - a deficiency-attaining vertex set read off an
+  analysis, verified against its deficiency before it is returned,
 * `hall_violator` - a witness set for unsaturated bipartite sides.
 """
 
@@ -213,10 +214,13 @@ def _match_size(match: list[int]) -> int:
     return sum(1 for v in match if v != -1) // 2
 
 
+def _matching_from(match: list[int]) -> Matching:
+    return Matching((v, w) for v, w in enumerate(match) if v < w)
+
+
 def maximum_matching(g: Multigraph) -> Matching:
     """One maximum matching, deterministic for a fixed graph."""
-    match = _solve_matching(_support_adj(g))
-    return Matching((v, match[v]) for v in range(g.n) if v < match[v])
+    return _matching_from(_solve_matching(_support_adj(g)))
 
 
 def matching_number(g: Multigraph) -> int:
@@ -459,8 +463,21 @@ class GallaiEdmonds:
     c: frozenset[int]
 
 
-def gallai_edmonds(g: Multigraph) -> GallaiEdmonds:
-    """Decomposition from one maximum matching plus one alternating forest.
+@dataclass(frozen=True)
+class MatchingAnalysis:
+    """What one maximum matching of g determines: the deficiency and the
+    Gallai-Edmonds decomposition.  Built once per graph by `analyze` and
+    handed to everything that needs them."""
+
+    g: Multigraph
+    matching: Matching
+    deficiency: int
+    ge: GallaiEdmonds
+
+
+def analyze(g: Multigraph) -> MatchingAnalysis:
+    """One maximum matching (that of `maximum_matching`) plus the D/A/C
+    decomposition, from one blossom solve and one alternating forest.
 
     Edmonds' search grows a tree from every exposed vertex at once,
     contracting blossoms, until no outer vertex has an unexplored edge; D
@@ -514,7 +531,14 @@ def gallai_edmonds(g: Multigraph) -> GallaiEdmonds:
     d = {v for v in range(n) if outer[v]}
     a = {w for v in d for w in adj[v]} - d
     c = set(range(n)) - d - a
-    return GallaiEdmonds(d=frozenset(d), a=frozenset(a), c=frozenset(c))
+    return MatchingAnalysis(
+        g=g, matching=_matching_from(match), deficiency=n - 2 * _match_size(match),
+        ge=GallaiEdmonds(d=frozenset(d), a=frozenset(a), c=frozenset(c)))
+
+
+def gallai_edmonds(g: Multigraph) -> GallaiEdmonds:
+    """The D/A/C decomposition of g (see `analyze`)."""
+    return analyze(g).ge
 
 
 @dataclass(frozen=True)
@@ -526,14 +550,14 @@ class TutteBergeWitness:
     odd_count: int
 
 
-def tutte_berge_witness(g: Multigraph) -> TutteBergeWitness:
+def tutte_berge_witness(analysis: MatchingAnalysis) -> TutteBergeWitness:
     """Deficiency-attaining set (the A side of Gallai-Edmonds).
 
     The identity odd_count - |s| = deficiency is checked before returning;
-    failure raises, since it would mean the matching code is wrong.
+    failure raises, since it would mean the matching was not maximum.
     """
-    ge = gallai_edmonds(g)
-    s = ge.a
+    g = analysis.g
+    s = analysis.ge.a
     seen = [False] * g.n
     for v in s:
         seen[v] = True
@@ -553,10 +577,10 @@ def tutte_berge_witness(g: Multigraph) -> TutteBergeWitness:
                     queue.append(w)
         if size % 2 == 1:
             odd += 1
-    if odd - len(s) != deficiency(g):
+    if odd - len(s) != analysis.deficiency:
         raise RuntimeError(
             f"Tutte-Berge identity violated: odd={odd} |s|={len(s)} "
-            f"deficiency={deficiency(g)}; matching implementation is buggy")
+            f"deficiency={analysis.deficiency}; matching implementation is buggy")
     return TutteBergeWitness(s=s, odd_count=odd)
 
 

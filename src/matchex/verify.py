@@ -9,10 +9,13 @@ it; `is_counterexample` decides the two refutation strengths
 * AllPairs - deficiency is at least 2 and every exposed pair of every
   maximum matching shares a neighbor.
 
-Enumeration is exact but capped; two sound-but-incomplete structural
-certificates can decide counterexample status without enumeration.  Every
-outcome is wrapped in a VerificationReport that records which method
-actually decided.
+Both run one decision pipeline on one `MatchingAnalysis` of the graph:
+deficiency <= 1 short-circuits; two sound-but-incomplete structural
+certificates read off the analysis can prove a counterexample (the
+question runs them before enumerating, the refutation modes once
+enumeration hits its cap); enumeration of maximum matchings is exact but
+capped.  Every outcome is wrapped in a VerificationReport that records
+which method actually decided.
 """
 
 from __future__ import annotations
@@ -22,13 +25,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional, Sequence, Union
 
-from .matching import (
-    Matching,
-    deficiency,
-    gallai_edmonds,
-    maximum_matching,
-    visit_maximum_matchings,
-)
+from .matching import Matching, MatchingAnalysis, analyze, visit_maximum_matchings
 from .multigraph import Copy, Hub, Multigraph
 
 DEFAULT_CAP = 100_000
@@ -112,10 +109,11 @@ class _SmallestCommonNeighbor(dict):
 
     def __init__(self, g: Multigraph):
         super().__init__()
-        self._g = g
+        self._neighbors = [g.support_neighbors(v) for v in range(g.n)]
 
     def __missing__(self, pair: tuple[int, int]) -> int:
-        shared = self._g.common_neighbors(*pair)
+        a, b = pair
+        shared = self._neighbors[a] & self._neighbors[b]
         common = self[pair] = min(shared) if shared else -1
         return common
 
@@ -126,13 +124,13 @@ def _exposed(m: Matching, vertices: frozenset[int]) -> tuple[int, ...]:
 
 
 def _sharing_pair(exposed: Sequence[int],
-                  common: _SmallestCommonNeighbor) -> Optional[tuple[int, int, int]]:
+                  common: _SmallestCommonNeighbor) -> Optional[tuple[tuple[int, int], int]]:
     """First exposed pair (ascending) with a common neighbor, plus the
     smallest such neighbor."""
     for pair in combinations(exposed, 2):
         c = common[pair]
         if c >= 0:
-            return pair[0], pair[1], c
+            return pair, c
     return None
 
 
@@ -145,30 +143,28 @@ def _lonely_pair(exposed: Sequence[int],
     return None
 
 
-def strong_counterexample_certificate(g: Multigraph) -> Optional[StrongCertificate]:
-    """Certificate that g is an AllPairs counterexample, or None.
+def strong_counterexample_certificate(analysis: MatchingAnalysis) -> Optional[StrongCertificate]:
+    """Certificate that the analysed graph is an AllPairs counterexample,
+    or None.
 
     Sound but incomplete: deficiency >= 2 and every pair of exposable
     vertices (the Gallai-Edmonds D set, a superset of every exposed set)
     shares a neighbor.  Absence proves nothing.
     """
-    defic = deficiency(g)
-    if defic < 2:
+    if analysis.deficiency < 2:
         return None
-    d = sorted(gallai_edmonds(g).d)
-    witness: dict[tuple[int, int], int] = {}
-    for a in range(len(d)):
-        for b in range(a + 1, len(d)):
-            shared = g.common_neighbors(d[a], d[b])
-            if not shared:
-                return None
-            witness[(d[a], d[b])] = min(shared)
-    return StrongCertificate(exposable=frozenset(d), deficiency=defic, common_neighbor=witness)
+    d = analysis.ge.d
+    common = _SmallestCommonNeighbor(analysis.g)
+    if any(common[pair] < 0 for pair in combinations(sorted(d), 2)):
+        return None
+    return StrongCertificate(exposable=d, deficiency=analysis.deficiency,
+                             common_neighbor=dict(common))
 
 
 def weak_counterexample_certificate(
-        g: Multigraph, classes: Sequence[HubClass]) -> Optional[WeakCertificate]:
-    """Certificate that g is a SomePair counterexample, or None.
+        analysis: MatchingAnalysis, classes: Sequence[HubClass]) -> Optional[WeakCertificate]:
+    """Certificate that the analysed graph is a SomePair counterexample, or
+    None.
 
     Requires every exposable vertex to lie in some class, each class hub
     adjacent to all its members, and deficiency > number of classes: any
@@ -177,6 +173,7 @@ def weak_counterexample_certificate(
     """
     if not classes:
         raise ValueError("need at least one class")
+    g = analysis.g
     seen: set[int] = set()
     for cls in classes:
         g._check_vertex(cls.hub)
@@ -189,13 +186,12 @@ def weak_counterexample_certificate(
             g._check_vertex(v)
             if v not in g.support_neighbors(cls.hub):
                 raise ValueError(f"hub {cls.hub} is not adjacent to member {v}")
-    defic = deficiency(g)
-    d = gallai_edmonds(g).d
+    d = analysis.ge.d
     if not d <= seen:
         return None
-    if defic <= len(classes):
+    if analysis.deficiency <= len(classes):
         return None
-    return WeakCertificate(classes=tuple(classes), deficiency=defic, exposable=d)
+    return WeakCertificate(classes=tuple(classes), deficiency=analysis.deficiency, exposable=d)
 
 
 def hub_classes_from_labels(g: Multigraph) -> Optional[tuple[HubClass, ...]]:
@@ -230,57 +226,7 @@ def conjecture_holds(g: Multigraph, cap: int = DEFAULT_CAP) -> VerificationRepor
     maximum matchings are enumerated up to `cap`, stopping at the first
     matching that satisfies the property.  Cap exhaustion is inconclusive.
     """
-    _validate_cap(cap)
-    vertices = frozenset(range(g.n))
-    defic = deficiency(g)
-    if defic <= 1:
-        m = maximum_matching(g)
-        return VerificationReport(
-            verdict=Verdict.HOLDS, method=METHOD_SHORT_CIRCUIT,
-            witness=MatchingWitness(m, _exposed(m, vertices)),
-            detail=f"deficiency {defic} <= 1, no exposed pair can exist")
-    cert = strong_counterexample_certificate(g)
-    if cert is not None:
-        return VerificationReport(
-            verdict=Verdict.COUNTEREXAMPLE, method=METHOD_CERTIFICATE, witness=cert,
-            detail="every exposable pair shares a neighbor")
-    classes = hub_classes_from_labels(g)
-    if classes is not None:
-        weak = weak_counterexample_certificate(g, classes)
-        if weak is not None:
-            return VerificationReport(
-                verdict=Verdict.COUNTEREXAMPLE, method=METHOD_CERTIFICATE, witness=weak,
-                detail=f"deficiency {weak.deficiency} exceeds {len(classes)} hub classes")
-    found: list[MatchingWitness] = []
-    common = _SmallestCommonNeighbor(g)
-
-    def check(m: Matching) -> bool:
-        exposed = _exposed(m, vertices)
-        if _sharing_pair(exposed, common) is None:
-            found.append(MatchingWitness(m, exposed))
-            return False
-        return True
-
-    stats = visit_maximum_matchings(g, check, cap=cap)
-    if found:
-        return VerificationReport(
-            verdict=Verdict.HOLDS, method=METHOD_ENUMERATION,
-            matchings_examined=stats.count, exhaustive=stats.exhaustive,
-            witness=found[0],
-            detail="found a maximum matching with common-neighbor-free exposed set")
-    if stats.exhaustive:
-        m0 = maximum_matching(g)
-        exposed = _exposed(m0, vertices)
-        pair = _sharing_pair(exposed, common)
-        return VerificationReport(
-            verdict=Verdict.COUNTEREXAMPLE, method=METHOD_ENUMERATION,
-            matchings_examined=stats.count, exhaustive=True,
-            witness=MatchingWitness(m0, exposed, (pair[0], pair[1]), pair[2]),
-            detail=f"all {stats.count} maximum matchings leave a sharing exposed pair")
-    return VerificationReport(
-        verdict=Verdict.INCONCLUSIVE, method=METHOD_ENUMERATION,
-        matchings_examined=stats.count, exhaustive=False,
-        detail=f"enumeration cap {cap} reached without a deciding matching")
+    return _decide(g, None, cap, None)
 
 
 def is_counterexample(g: Multigraph, mode: PairMode, cap: int = DEFAULT_CAP,
@@ -292,75 +238,108 @@ def is_counterexample(g: Multigraph, mode: PairMode, cap: int = DEFAULT_CAP,
     mode, the weak one only SomePair.  `classes` overrides the label-derived
     hub classes for the weak certificate.
     """
+    return _decide(g, mode, cap, classes)
+
+
+def _decide(g: Multigraph, mode: Optional[PairMode], cap: int,
+            classes: Optional[Sequence[HubClass]]) -> VerificationReport:
+    """The decision pipeline behind both entry points.
+
+    Mode None is the question itself, the negation of SomePair.  It differs
+    from SomePair only in its `detail` lines, in running the certificates
+    before enumeration instead of after the cap, and in showing the analysed
+    matching, not the first one enumerated, when every matching fails.
+    """
     _validate_cap(cap)
+    analysis = analyze(g)
+    defic = analysis.deficiency
     vertices = frozenset(range(g.n))
-    defic = deficiency(g)
     if defic < 2:
-        m = maximum_matching(g)
+        m = analysis.matching
         return VerificationReport(
             verdict=Verdict.HOLDS, method=METHOD_SHORT_CIRCUIT,
             witness=MatchingWitness(m, _exposed(m, vertices)),
-            detail=f"deficiency {defic} < 2, cannot be a counterexample")
+            detail=(f"deficiency {defic} <= 1, no exposed pair can exist" if mode is None
+                    else f"deficiency {defic} < 2, cannot be a counterexample"))
+    if mode is None:
+        report = _certified(analysis, mode, classes, 0)
+        if report is not None:
+            return report
     refuting: list[MatchingWitness] = []
     sample: list[MatchingWitness] = []
     common = _SmallestCommonNeighbor(g)
 
     def check(m: Matching) -> bool:
         exposed = _exposed(m, vertices)
-        if mode is PairMode.SOME_PAIR:
-            hit = _sharing_pair(exposed, common)
-            if hit is None:
-                refuting.append(MatchingWitness(m, exposed))
-                return False
-            if not sample:
-                sample.append(MatchingWitness(m, exposed, (hit[0], hit[1]), hit[2]))
-        else:
+        if mode is PairMode.ALL_PAIRS:
             miss = _lonely_pair(exposed, common)
             if miss is not None:
                 refuting.append(MatchingWitness(m, exposed, miss))
                 return False
             if not sample:
-                hit = _sharing_pair(exposed, common)
-                sample.append(MatchingWitness(m, exposed, (hit[0], hit[1]), hit[2]))
+                sample.append(MatchingWitness(m, exposed, *_sharing_pair(exposed, common)))
+        else:
+            hit = _sharing_pair(exposed, common)
+            if hit is None:
+                refuting.append(MatchingWitness(m, exposed))
+                return False
+            if not sample:
+                sample.append(MatchingWitness(m, exposed, *hit))
         return True
 
     stats = visit_maximum_matchings(g, check, cap=cap)
     if refuting:
-        what = ("a maximum matching with common-neighbor-free exposed set"
-                if mode is PairMode.SOME_PAIR
-                else "a maximum matching with an exposed pair sharing no neighbor")
+        what = ("an exposed pair sharing no neighbor" if mode is PairMode.ALL_PAIRS
+                else "common-neighbor-free exposed set")
         return VerificationReport(
             verdict=Verdict.HOLDS, method=METHOD_ENUMERATION,
             matchings_examined=stats.count, exhaustive=stats.exhaustive,
-            witness=refuting[0], detail=f"found {what}")
+            witness=refuting[0], detail=f"found a maximum matching with {what}")
     if stats.exhaustive:
-        claim = ("every maximum matching leaves a sharing exposed pair"
-                 if mode is PairMode.SOME_PAIR
-                 else "every exposed pair of every maximum matching shares a neighbor")
+        witness = sample[0]
+        if mode is None:
+            m = analysis.matching
+            exposed = _exposed(m, vertices)
+            witness = MatchingWitness(m, exposed, *_sharing_pair(exposed, common))
+            detail = f"all {stats.count} maximum matchings leave a sharing exposed pair"
+        elif mode is PairMode.SOME_PAIR:
+            detail = f"every maximum matching leaves a sharing exposed pair ({stats.count} matchings)"
+        else:
+            detail = ("every exposed pair of every maximum matching shares a neighbor "
+                      f"({stats.count} matchings)")
         return VerificationReport(
             verdict=Verdict.COUNTEREXAMPLE, method=METHOD_ENUMERATION,
-            matchings_examined=stats.count, exhaustive=True,
-            witness=sample[0] if sample else None,
-            detail=f"{claim} ({stats.count} matchings)")
-    cert = strong_counterexample_certificate(g)
-    if cert is not None:
-        return VerificationReport(
-            verdict=Verdict.COUNTEREXAMPLE, method=METHOD_CERTIFICATE,
-            matchings_examined=stats.count, exhaustive=False, witness=cert,
-            detail="enumeration capped; strong certificate decides")
-    if mode is PairMode.SOME_PAIR:
-        use = classes if classes is not None else hub_classes_from_labels(g)
-        if use:
-            weak = weak_counterexample_certificate(g, use)
-            if weak is not None:
-                return VerificationReport(
-                    verdict=Verdict.COUNTEREXAMPLE, method=METHOD_CERTIFICATE,
-                    matchings_examined=stats.count, exhaustive=False, witness=weak,
-                    detail="enumeration capped; weak certificate decides")
+            matchings_examined=stats.count, exhaustive=True, witness=witness, detail=detail)
+    if mode is None:
+        detail = f"enumeration cap {cap} reached without a deciding matching"
+    else:
+        report = _certified(analysis, mode, classes, stats.count)
+        if report is not None:
+            return report
+        detail = f"enumeration cap {cap} reached and no certificate applies"
     return VerificationReport(
         verdict=Verdict.INCONCLUSIVE, method=METHOD_ENUMERATION,
-        matchings_examined=stats.count, exhaustive=False,
-        detail=f"enumeration cap {cap} reached and no certificate applies")
+        matchings_examined=stats.count, exhaustive=False, detail=detail)
+
+
+def _certified(analysis: MatchingAnalysis, mode: Optional[PairMode],
+               classes: Optional[Sequence[HubClass]], count: int) -> Optional[VerificationReport]:
+    """The certificate chain of `_decide`: the strong certificate, then the
+    weak one unless mode is AllPairs; None when neither applies."""
+    cert = strong_counterexample_certificate(analysis)
+    detail = ("every exposable pair shares a neighbor" if mode is None
+              else "enumeration capped; strong certificate decides")
+    if cert is None and mode is not PairMode.ALL_PAIRS:
+        use = classes if classes is not None else hub_classes_from_labels(analysis.g)
+        if use:
+            cert = weak_counterexample_certificate(analysis, use)
+            detail = (f"deficiency {analysis.deficiency} exceeds {len(use)} hub classes"
+                      if mode is None else "enumeration capped; weak certificate decides")
+    if cert is None:
+        return None
+    return VerificationReport(
+        verdict=Verdict.COUNTEREXAMPLE, method=METHOD_CERTIFICATE,
+        matchings_examined=count, exhaustive=False, witness=cert, detail=detail)
 
 
 class SubcubicGuaranteeError(RuntimeError):
@@ -406,8 +385,7 @@ def all_maximum_matchings_saturate(g: Multigraph, s: Sequence[int],
     s_set = frozenset(s)
     for v in s_set:
         g._check_vertex(v)
-    ge = gallai_edmonds(g)
-    bad = sorted(s_set & ge.d)
+    bad = sorted(s_set & analyze(g).ge.d)
     vertices = frozenset(range(g.n))
     exposed_hits: list[MatchingWitness] = []
 
@@ -428,22 +406,15 @@ def all_maximum_matchings_saturate(g: Multigraph, s: Sequence[int],
             detail="s avoids every exposable vertex")
     if exposed_hits:
         witness = exposed_hits[0]
-    else:
-        witness = MatchingWitness(*_matching_exposing(g, bad[0]))
+    else:  # bad[0] is in D: a maximum matching of g - bad[0] is maximum in g
+        from .matching import _matching_from, _solve_matching, _support_adj  # array-level internals
+
+        alive = [True] * g.n
+        alive[bad[0]] = False
+        m = _matching_from(_solve_matching(_support_adj(g), alive))
+        witness = MatchingWitness(m, _exposed(m, vertices))
     return VerificationReport(
         verdict=Verdict.COUNTEREXAMPLE, method=METHOD_CERTIFICATE,
         matchings_examined=stats.count, exhaustive=stats.exhaustive,
         witness=witness,
         detail=f"vertices {bad} are exposable")
-
-
-def _matching_exposing(g: Multigraph, v: int) -> tuple[Matching, tuple[int, ...]]:
-    """Maximum matching of g avoiding the exposable vertex v, with its
-    exposed set.  Only valid when v lies in the Gallai-Edmonds D set."""
-    from .matching import _solve_matching, _support_adj  # array-level internals
-
-    alive = [True] * g.n
-    alive[v] = False
-    arr = _solve_matching(_support_adj(g), alive)
-    m = Matching((u, arr[u]) for u in range(g.n) if u < arr[u])
-    return m, _exposed(m, frozenset(range(g.n)))

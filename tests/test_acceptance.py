@@ -17,6 +17,7 @@ from matchex import (
     PairMode,
     Verdict,
     all_maximum_matchings_saturate,
+    analyze,
     brute_force_all_maximum_matchings,
     brute_force_matching_number,
     build_family,
@@ -132,7 +133,7 @@ def test_criterion_4_G3_H3_some_pair():
         assert report.matchings_examined == 17010, fam
         classes = hub_classes_from_labels(g)
         assert classes is not None
-        assert weak_counterexample_certificate(g, classes) is not None, fam
+        assert weak_counterexample_certificate(analyze(g), classes) is not None, fam
         capped = is_counterexample(g, PairMode.SOME_PAIR, cap=100)
         assert capped.verdict is Verdict.COUNTEREXAMPLE
         assert capped.method == METHOD_CERTIFICATE
@@ -141,7 +142,7 @@ def test_criterion_4_G3_H3_some_pair():
 @criterion(5, "F5-allpairs-certificate", bound=120.0)
 def test_criterion_5_F5_all_pairs():
     g = build_family(FamilySpec("F", 5))
-    cert = strong_counterexample_certificate(g)
+    cert = strong_counterexample_certificate(analyze(g))
     assert cert is not None
     assert cert.deficiency == 2
     report = is_counterexample(g, PairMode.ALL_PAIRS, cap=10**6)
@@ -156,13 +157,13 @@ def test_criterion_5_F5_all_pairs():
 def test_criterion_6_certificates_at_scale():
     for spec, g in family_graphs():
         if spec.family in ("B", "F"):
-            cert = strong_counterexample_certificate(g)
+            cert = strong_counterexample_certificate(analyze(g))
             assert cert is not None, spec
             assert cert.deficiency == expected_stats(spec).expected_deficiency
         else:
             classes = hub_classes_from_labels(g)
             assert classes is not None, spec
-            weak = weak_counterexample_certificate(g, classes)
+            weak = weak_counterexample_certificate(analyze(g), classes)
             assert weak is not None, spec
             assert weak.deficiency == expected_stats(spec).expected_deficiency
 
@@ -205,7 +206,7 @@ def test_criterion_8_oracle_equivalence():
 def test_criterion_9_tutte_berge_identity():
     pool = [g for _, g in family_graphs()] + list(random_corpus())
     for g in pool:
-        w = tutte_berge_witness(g)  # raises internally on any mismatch
+        w = tutte_berge_witness(analyze(g))  # raises internally on any mismatch
         assert w.odd_count - len(w.s) == deficiency(g)
 
 

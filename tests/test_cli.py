@@ -14,10 +14,14 @@ from matchex import (
     HuntItem,
     HuntSummary,
     build_B,
+    build_F,
     build_G,
+    build_H,
+    hunt,
     parse_mgf,
     serialize_mgf,
 )
+from matchex import matching as matching_mod
 from matchex.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_ERROR,
@@ -27,7 +31,7 @@ from matchex.cli import (
     main,
 )
 
-from conftest import cycle_graph, path_graph
+from conftest import cycle_graph, path_graph, random_graph_corpus, star_graph
 
 
 def run_cli(argv, capsys, monkeypatch=None, stdin_text=None):
@@ -235,6 +239,79 @@ def test_verify_bad_cap(capsys, monkeypatch):
                            stdin_text=serialize_mgf(cycle_graph(4)))
     assert code == EXIT_ERROR
     assert "cap" in err
+
+
+# ------------------------------------------------- one analysis per decision
+
+
+def count_solves(monkeypatch):
+    """Patch `matching._solve_matching` to count its calls; returns the
+    one-element list that holds the count."""
+    calls = [0]
+    solve = matching_mod._solve_matching
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(matching_mod, "_solve_matching", counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv, graph, solves", [
+    (["info"], build_G(3), 1),
+    (["verify"], build_B(2), 1),  # strong certificate
+    (["verify"], build_G(3), 1),  # weak certificate
+    # the enumerator keeps its own base solve
+    (["verify", "--mode", "some-pair", "--cap", "100"], build_G(3), 2),
+])
+def test_one_blossom_solve_per_decision(capsys, monkeypatch, argv, graph, solves):
+    text = serialize_mgf(graph)
+    calls = count_solves(monkeypatch)
+    code, _, _ = run_cli(argv, capsys, monkeypatch, stdin_text=text)
+    assert code in (EXIT_OK, EXIT_COUNTEREXAMPLE)
+    assert calls[0] == solves
+
+
+def test_one_blossom_solve_per_short_circuit_hunt_item(monkeypatch):
+    calls = count_solves(monkeypatch)
+    summary = hunt(HuntConfig(degree=3, n_min=10, n_max=10, count=1, seed=0))
+    assert summary.items[0].method == "short-circuit"
+    assert calls[0] == 1
+
+
+# sha256 of repr((name, argv, exit code, stdout, stderr)) over every run of
+# `pinned_runs`, taken from the two separate deciders that the single
+# decision pipeline replaced
+PINNED_OUTPUT_SHA256 = "9a188d724151434d0169c8c2f6408ff473de300abcafa2e58912c8c528b0c080"
+
+
+def pinned_runs():
+    """(name, MGF text, argv) of `info`, `export-dot --mark-exposed` and
+    `verify` in all three modes, exhaustive (cap 20000) and capped at 2, on
+    the paper's family members, unlabeled G3 (no hub classes), a star and
+    a small seeded corpus."""
+    graphs = [("B2", build_B(2)), ("G3", build_G(3)), ("H3", build_H(3)),
+              ("F5", build_F(5)), ("G4", build_G(4)),
+              ("G3-unlabeled", parse_mgf(unlabeled_G3_mgf())), ("star5", star_graph(5))]
+    graphs += [(f"corpus{i}", g) for i, g in enumerate(
+        random_graph_corpus(seed=404, count=40, max_n=10, max_support_edges=16)
+        + random_graph_corpus(seed=405, count=20, max_n=10, max_support_edges=7))]
+    for name, g in graphs:
+        text = serialize_mgf(g)
+        yield name, text, ["info"]
+        yield name, text, ["export-dot", "--mark-exposed"]
+        for cap in ("2", "20000"):
+            for mode in ("conjecture", "some-pair", "all-pairs"):
+                yield name, text, ["verify", "--mode", mode, "--cap", cap]
+
+
+def test_info_and_verify_outputs_pinned(capsys, monkeypatch):
+    digest = hashlib.sha256()
+    for name, text, argv in pinned_runs():
+        code, out, err = run_cli(argv, capsys, monkeypatch, stdin_text=text)
+        digest.update(repr((name, argv, code, out, err)).encode("utf-8"))
+    assert digest.hexdigest() == PINNED_OUTPUT_SHA256
 
 
 # ------------------------------------------------------------- env cap hook

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 import time
@@ -16,6 +17,7 @@ from matchex import (
     BRUTE_FORCE_EDGE_LIMIT,
     Matching,
     Multigraph,
+    analyze,
     brute_force_all_maximum_matchings,
     brute_force_matching_number,
     build_B,
@@ -376,6 +378,17 @@ def test_gallai_edmonds_matches_deletion_oracle_on_acceptance_corpus():
         assert gallai_edmonds(g) == deletion_gallai_edmonds(g)
 
 
+def test_analyze_agrees_with_separate_solves_on_corpus():
+    # one solve serves the matching, the deficiency and D/A/C
+    for g in random_graph_corpus(seed=207, count=150):
+        analysis = analyze(g)
+        assert analysis.g is g
+        assert analysis.matching == maximum_matching(g)
+        analysis.matching.validate_in(g)
+        assert analysis.deficiency == deficiency(g)
+        assert analysis.ge == deletion_gallai_edmonds(g)
+
+
 @pytest.mark.parametrize(
     "build, r",
     [(build_B, 2), (build_B, 3), (build_B, 4), (build_G, 3), (build_H, 3),
@@ -442,7 +455,7 @@ def test_gallai_edmonds_raises_on_non_maximum_matching(monkeypatch):
     ],
 )
 def test_tutte_berge_known(g, s, odd):
-    w = tutte_berge_witness(g)
+    w = tutte_berge_witness(analyze(g))
     assert w.s == frozenset(s)
     assert w.odd_count == odd
     assert w.odd_count - len(w.s) == deficiency(g)
@@ -451,8 +464,16 @@ def test_tutte_berge_known(g, s, odd):
 def test_tutte_berge_identity_on_corpus():
     # the function re-derives odd components and raises on any mismatch
     for g in random_graph_corpus(seed=206, count=120):
-        w = tutte_berge_witness(g)
+        w = tutte_berge_witness(analyze(g))
         assert w.odd_count - len(w.s) == deficiency(g)
+
+
+def test_tutte_berge_raises_on_inconsistent_analysis():
+    # a deficiency that the A side does not attain means the analysed
+    # matching was not maximum
+    analysis = analyze(build_G(3))
+    with pytest.raises(RuntimeError, match="Tutte-Berge identity violated"):
+        tutte_berge_witness(dataclasses.replace(analysis, deficiency=analysis.deficiency + 2))
 
 
 # ------------------------------------------------------------ Hall violator

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 import matchex.verify as verify_mod
@@ -19,6 +21,7 @@ from matchex import (
     VerificationReport,
     WeakCertificate,
     all_maximum_matchings_saturate,
+    analyze,
     build_B,
     build_F,
     build_G,
@@ -26,7 +29,6 @@ from matchex import (
     check_subcubic_guarantee,
     conjecture_holds,
     deficiency,
-    gallai_edmonds,
     hub_classes_from_labels,
     is_counterexample,
     matching_number,
@@ -239,7 +241,7 @@ def test_all_pairs_never_uses_weak_certificate():
     # weak pigeonhole only yields a sharing pair, not all pairs sharing:
     # with the cap hit and no strong certificate the verdict must stay open
     g = build_G(3)
-    assert strong_counterexample_certificate(g) is None
+    assert strong_counterexample_certificate(analyze(g)) is None
     report = is_counterexample(g, PairMode.ALL_PAIRS, cap=1)
     assert report.verdict in (Verdict.INCONCLUSIVE, Verdict.HOLDS)
     if report.verdict is Verdict.INCONCLUSIVE:
@@ -251,7 +253,7 @@ def test_all_pairs_never_uses_weak_certificate():
 
 def test_strong_certificate_B2_soundness():
     g = build_B(2)
-    cert = strong_counterexample_certificate(g)
+    cert = strong_counterexample_certificate(analyze(g))
     assert cert is not None
     assert cert.deficiency == 2
     assert cert.exposable == frozenset(range(6, 14))
@@ -264,16 +266,16 @@ def test_strong_certificate_B2_soundness():
 
 
 def test_strong_certificate_absent():
-    assert strong_counterexample_certificate(build_G(3)) is None
-    assert strong_counterexample_certificate(cycle_graph(5)) is None  # deficiency 1
-    assert strong_counterexample_certificate(disjoint_triangles(2)) is None
-    assert strong_counterexample_certificate(build_F(5)) is not None
+    assert strong_counterexample_certificate(analyze(build_G(3))) is None
+    assert strong_counterexample_certificate(analyze(cycle_graph(5))) is None  # deficiency 1
+    assert strong_counterexample_certificate(analyze(disjoint_triangles(2))) is None
+    assert strong_counterexample_certificate(analyze(build_F(5))) is not None
 
 
 def test_weak_certificate_G3():
     g = build_G(3)
     classes = hub_classes_from_labels(g)
-    cert = weak_counterexample_certificate(g, classes)
+    cert = weak_counterexample_certificate(analyze(g), classes)
     assert cert is not None
     assert cert.deficiency == 4
     assert len(cert.classes) == 3
@@ -285,30 +287,30 @@ def test_weak_certificate_needs_deficiency_margin():
     g = build_F(5)
     classes = hub_classes_from_labels(g)
     assert classes is not None
-    assert weak_counterexample_certificate(g, classes) is None
+    assert weak_counterexample_certificate(analyze(g), classes) is None
 
 
 def test_weak_certificate_needs_cover():
     g = build_G(3)
     classes = hub_classes_from_labels(g)
-    assert weak_counterexample_certificate(g, classes[:2]) is None
+    assert weak_counterexample_certificate(analyze(g), classes[:2]) is None
 
 
 def test_weak_certificate_malformed_classes():
     g = build_G(3)
     with pytest.raises(ValueError):
-        weak_counterexample_certificate(g, [])
+        weak_counterexample_certificate(analyze(g), [])
     with pytest.raises(ValueError):
-        weak_counterexample_certificate(g, [HubClass(0, frozenset())])
+        weak_counterexample_certificate(analyze(g), [HubClass(0, frozenset())])
     with pytest.raises(ValueError):
         weak_counterexample_certificate(
-            g, [HubClass(0, frozenset({3})), HubClass(1, frozenset({3}))])
+            analyze(g), [HubClass(0, frozenset({3})), HubClass(1, frozenset({3}))])
     with pytest.raises(ValueError):
-        weak_counterexample_certificate(g, [HubClass(0, frozenset({4}))])  # x not at v2
+        weak_counterexample_certificate(analyze(g), [HubClass(0, frozenset({4}))])  # x not at v2
     with pytest.raises(ValueError):
-        weak_counterexample_certificate(g, [HubClass(0, frozenset({99}))])
+        weak_counterexample_certificate(analyze(g), [HubClass(0, frozenset({99}))])
     with pytest.raises(ValueError):
-        weak_counterexample_certificate(g, [HubClass(99, frozenset({3}))])
+        weak_counterexample_certificate(analyze(g), [HubClass(99, frozenset({3}))])
 
 
 def test_hub_classes_from_labels_G3():
@@ -419,7 +421,8 @@ def test_saturate_witness_without_enumeration_hit():
 
 def test_saturate_crosscheck_raises_on_bad_decomposition(monkeypatch):
     fake = GallaiEdmonds(d=frozenset({0}), a=frozenset(), c=frozenset({1, 2, 3}))
-    monkeypatch.setattr(verify_mod, "gallai_edmonds", lambda g: fake)
+    monkeypatch.setattr(verify_mod, "analyze",
+                        lambda g: dataclasses.replace(analyze(g), ge=fake))
     with pytest.raises(RuntimeError):
         all_maximum_matchings_saturate(cycle_graph(4), [0])
 
@@ -450,7 +453,7 @@ def test_verdict_duality_on_corpus():
 def test_certificates_are_sound_on_corpus():
     # wherever a certificate fires, exhaustive enumeration agrees
     for g in random_graph_corpus(seed=302, count=60, max_n=9, max_support_edges=14):
-        cert = strong_counterexample_certificate(g)
+        cert = strong_counterexample_certificate(analyze(g))
         if cert is not None:
             report = is_counterexample(g, PairMode.ALL_PAIRS, cap=10**6)
             assert report.verdict is Verdict.COUNTEREXAMPLE
