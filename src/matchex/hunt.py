@@ -1,6 +1,8 @@
 """Randomized search for counterexamples among d-regular graphs.
 
-Graphs are drawn with a configuration-model sampler; each item of a hunt
+Graphs are drawn with a configuration-model sampler that pairs stubs
+sequentially (Fisher-Yates, two stubs at a time) and restarts at the first
+loop or, for simple graphs, the first repeated pair.  Each item of a hunt
 re-derives its own RNG seed from (config.seed, index) with a fixed 64-bit
 mixing function, so results do not depend on execution order and a hunt
 can be split across worker processes without changing its output.
@@ -46,8 +48,15 @@ def random_regular_graph(n: int, degree: int, seed: int, *,
                          max_retries: int = DEFAULT_RETRY_BUDGET) -> Multigraph:
     """Configuration-model d-regular graph on n vertices.
 
-    Stubs are shuffled and paired; a pairing containing a loop (or, with
-    simple_only, a parallel pair) is thrown away and resampled.  Raises
+    Each attempt pairs the stubs sequentially: stub i (i even) is paired
+    with a uniform stub among the unpaired ones after it, Fisher-Yates
+    style, so every attempt is a uniform perfect matching of the stubs
+    whatever order earlier attempts left them in.  An attempt is abandoned
+    at its first loop (or, with simple_only, its first repeated pair) and
+    the pairing restarts from scratch.  Rejecting at the first bad pair
+    rejects exactly the pairings a complete shuffle-then-check would, so
+    accepted graphs are uniform over simple d-regular graphs, or follow
+    the loopless configuration model when simple_only is False.  Raises
     GenerationError when max_retries pairings were all rejected, and
     ValueError for infeasible (n, degree).
     """
@@ -68,26 +77,37 @@ def random_regular_graph(n: int, degree: int, seed: int, *,
     if n == 0 or degree == 0:
         return Multigraph(n).freeze()
     stubs = [v for v in range(n) for _ in range(degree)]
+    last = len(stubs) - 1
+    # stub i draws its partner j uniformly from [i+1, last] by rejection on
+    # getrandbits, which is exact and keeps to the public Random API
+    steps = [(i, last - i, (last - i).bit_length()) for i in range(0, last, 2)]
+    getrandbits = rng.getrandbits
     for _ in range(max_retries):
-        rng.shuffle(stubs)
-        counts: dict[tuple[int, int], int] = {}
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
+        seen: set[int] = set()
+        for i, span, bits in steps:
+            j = getrandbits(bits)
+            while j >= span:
+                j = getrandbits(bits)
+            j += i + 1
+            u, v = stubs[i], stubs[j]
+            stubs[j] = stubs[i + 1]
+            stubs[i + 1] = v
             if u == v:
-                ok = False
                 break
-            key = (u, v) if u < v else (v, u)
-            counts[key] = counts.get(key, 0) + 1
-            if simple_only and counts[key] > 1:
-                ok = False
-                break
-        if not ok:
-            continue
-        g = Multigraph(n)
-        for (u, v), m in sorted(counts.items()):
-            g.add_edges(u, v, m)
-        return g.freeze()
+            if simple_only:
+                key = u * n + v if u < v else v * n + u
+                if key in seen:
+                    break
+                seen.add(key)
+        else:
+            counts: dict[tuple[int, int], int] = {}
+            for u, v in zip(stubs[0::2], stubs[1::2]):
+                key = (u, v) if u < v else (v, u)
+                counts[key] = counts.get(key, 0) + 1
+            g = Multigraph(n)
+            for (u, v), m in sorted(counts.items()):
+                g.add_edges(u, v, m)
+            return g.freeze()
     raise GenerationError(
         f"no acceptable {degree}-regular pairing on {n} vertices "
         f"in {max_retries} attempts")

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib
+import itertools
+import math
 import os
+from collections import Counter
 
 import pytest
 
@@ -26,7 +30,7 @@ from matchex import (
 )
 from matchex.verify import METHOD_CERTIFICATE
 
-from conftest import complete_graph
+from conftest import complete_graph, cycle_graph
 
 # ------------------------------------------------------------ seed mixing
 
@@ -66,11 +70,13 @@ def test_random_regular_unique_graph_is_k5():
 
 
 def test_random_regular_multigraph_mode():
-    g = random_regular_graph(4, 3, seed=0, simple_only=False)
-    assert all(g.degree(v) == 3 for v in range(4))
-    assert any(m > 1 for _, _, m in g.bundles())  # parallel pair kept
-    # loops are never kept in either mode
-    assert all(u != v for u, v, _ in g.bundles())
+    # a loopless cubic draw on 4 vertices keeps a parallel pair with
+    # probability 19/31, so twenty seeds show one; loops never survive
+    draws = [random_regular_graph(4, 3, seed=s, simple_only=False) for s in range(20)]
+    for g in draws:
+        assert all(g.degree(v) == 3 for v in range(4))
+        assert all(u != v for u, v, _ in g.bundles())
+    assert any(m > 1 for g in draws for _, _, m in g.bundles())
 
 
 def test_random_regular_degenerate_cases():
@@ -95,12 +101,74 @@ def test_random_regular_validation():
 
 
 def test_random_regular_retry_exhaustion():
-    # seed 0 rejects its first triangle pairing; with a budget of one
-    # attempt that is fatal
-    with pytest.raises(GenerationError):
-        random_regular_graph(3, 2, seed=0, max_retries=1)
+    # a single triangle pairing is simple with probability 8/15, so twenty
+    # one-attempt budgets see a rejection, and every success is the triangle
+    raised = 0
+    for s in range(20):
+        try:
+            g = random_regular_graph(3, 2, seed=s, max_retries=1)
+        except GenerationError:
+            raised += 1
+        else:
+            assert g == cycle_graph(3)
+    assert raised > 0
     g = random_regular_graph(3, 2, seed=0)  # default budget succeeds
-    assert all(g.degree(v) == 2 for v in range(3))
+    assert g == cycle_graph(3)
+
+
+def _chi_square(draws: list, weights: dict) -> float:
+    """Pearson statistic of the draws against cell weights (any scale)."""
+    total = sum(weights.values())
+    observed = Counter(draws)
+    assert set(observed) <= set(weights), "a draw outside the support"
+    return sum((observed[c] - len(draws) * w / total) ** 2 / (len(draws) * w / total)
+               for c, w in weights.items())
+
+
+def _stub_pairings(stubs: list[int]):
+    """Every perfect matching of a list of stubs, as lists of pairs."""
+    if not stubs:
+        yield []
+        return
+    first, rest = stubs[0], stubs[1:]
+    for k, partner in enumerate(rest):
+        for tail in _stub_pairings(rest[:k] + rest[k + 1:]):
+            yield [(first, partner)] + tail
+
+
+def test_random_regular_simple_is_uniform():
+    # the 70 labelled cubic graphs on 6 vertices, by brute force over the
+    # 9-edge subsets of K6; 14000 draws against the uniform law, chi-square
+    # below its 0.999 quantile at 69 degrees of freedom
+    cubic = set()
+    for edges in itertools.combinations(itertools.combinations(range(6), 2), 9):
+        if all(sum(v in e for e in edges) == 3 for v in range(6)):
+            g = Multigraph(6)
+            for u, v in edges:
+                g.add_edges(u, v)
+            cubic.add(tuple(g.bundles()))
+    assert len(cubic) == 70
+    draws = [tuple(random_regular_graph(6, 3, seed=s).bundles()) for s in range(14000)]
+    assert _chi_square(draws, dict.fromkeys(cubic, 1)) < 111.06
+
+
+def test_random_regular_multigraph_follows_configuration_model():
+    # loopless configuration model on 4 vertices, degree 3: a multigraph's
+    # weight is its number of stub pairings, (3!)^4 / prod(m_e!);
+    # 6000 draws, chi-square below its 0.999 quantile at 9 degrees of freedom
+    weights: Counter = Counter()
+    for pairing in _stub_pairings([v for v in range(4) for _ in range(3)]):
+        if all(u != v for u, v in pairing):
+            g = Multigraph(4)
+            for u, v in pairing:
+                g.add_edges(u, v)
+            weights[tuple(g.bundles())] += 1
+    assert len(weights) == 10
+    for key, w in weights.items():
+        assert w * math.prod(math.factorial(m) for _, _, m in key) == 6 ** 4
+    draws = [tuple(random_regular_graph(4, 3, seed=s, simple_only=False).bundles())
+             for s in range(6000)]
+    assert _chi_square(draws, weights) < 27.88
 
 
 # ------------------------------------------------------------- HuntConfig
@@ -232,6 +300,35 @@ def test_format_summary_shape():
     assert all(line.startswith("item index=") for line in lines[1:3])
     assert lines[3].startswith("total graphs=2 holds=")
     assert text.endswith("\n")
+
+
+# A d5 simple hunt (rejection-heavy) and a d4 multigraph hunt (long
+# pairings), seed 5.  The first digest is of the summary; every item of
+# both is decided by the short circuit, which reads only n and the degree,
+# so the second digest also covers the graph each item drew: the decider
+# is replaced by one that flags every graph, so each item carries its MGF.
+PINNED_HUNTS = [
+    (dict(degree=5, n_min=20, n_max=30, count=20, seed=5),
+     "84a41b617e1d70bac4168c8011e62970ce9bb2bbc94f70ea556f3585664fcb89",
+     "ecc96252a693e584a356ae3a58b78972fe6e9a0caec374cef4b2cf1d5ab1e135"),
+    (dict(degree=4, n_min=200, n_max=300, count=20, seed=5, simple_only=False),
+     "2d8f744a25286e3b808ffd12b1c2258711fe81c0fb2b706adf89977020bc3845",
+     "ebc6519905ec608c709944191b6cde507a64b468dcfce80a0d965941d694b403"),
+]
+
+
+@pytest.mark.parametrize("kwargs, summary_sha256, graphs_sha256", PINNED_HUNTS,
+                         ids=["d5-simple", "d4-multi"])
+def test_hunt_bytes_pinned(monkeypatch, kwargs, summary_sha256, graphs_sha256):
+    cfg = HuntConfig(**kwargs)
+    text = format_summary(hunt(cfg))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == summary_sha256
+    flag_all = VerificationReport(
+        verdict=Verdict.COUNTEREXAMPLE, method=METHOD_CERTIFICATE,
+        matchings_examined=0, exhaustive=False)
+    monkeypatch.setattr(hunt_mod, "conjecture_holds", lambda g, cap: flag_all)
+    graphs = "".join(it.mgf for it in hunt(cfg).items)
+    assert hashlib.sha256(graphs.encode("utf-8")).hexdigest() == graphs_sha256
 
 
 def test_hunt_summary_accounting_consistency():
