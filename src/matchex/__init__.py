@@ -28,22 +28,12 @@ from .hunt import (
     random_regular_graph,
 )
 from .matching import (
-    BRUTE_FORCE_EDGE_LIMIT,
     EnumerationStats,
     GallaiEdmonds,
     Matching,
     MatchingAnalysis,
-    MatchingEnumeration,
     TutteBergeWitness,
     analyze,
-    brute_force_all_maximum_matchings,
-    brute_force_matching_number,
-    deficiency,
-    enumerate_maximum_matchings,
-    exposed_vertices,
-    gallai_edmonds,
-    hall_violator,
-    matching_number,
     maximum_matching,
     tutte_berge_witness,
     visit_maximum_matchings,
@@ -67,12 +57,9 @@ from .verify import (
     MatchingWitness,
     PairMode,
     StrongCertificate,
-    SubcubicGuaranteeError,
     Verdict,
     VerificationReport,
     WeakCertificate,
-    all_maximum_matchings_saturate,
-    check_subcubic_guarantee,
     conjecture_holds,
     hub_classes_from_labels,
     is_counterexample,

@@ -157,7 +157,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         print(_fmt_edges(m))
         return True
 
-    stats = visit_maximum_matchings(g, emit, cap=cap)
+    stats = visit_maximum_matchings(analyze(g), emit, cap=cap)
     print(f"count={stats.count} exhaustive={str(stats.exhaustive).lower()}")
     return EXIT_OK
 

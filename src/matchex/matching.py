@@ -5,18 +5,15 @@ change which vertex sets are matchable, so parallel edges are dropped on
 entry.  The module provides
 
 * `maximum_matching` - deterministic blossom-style augmentation,
-* `visit_maximum_matchings` / `enumerate_maximum_matchings` - exhaustive
-  enumeration of all maximum matchings by branch-and-prune over an
-  explicit stack; each branch is checked by single-root augmenting
-  searches from the partners it frees only,
-* `brute_force_matching_number` / `brute_force_all_maximum_matchings` -
-  an independent backtracking oracle (no blossom code path),
 * `analyze` - one `MatchingAnalysis` per graph: a maximum matching, the
   deficiency and the Gallai-Edmonds D/A/C decomposition, from one blossom
-  solve plus one alternating forest; `gallai_edmonds` returns its D/A/C,
+  solve plus one alternating forest,
+* `visit_maximum_matchings` - exhaustive enumeration of all maximum
+  matchings of an analysed graph by branch-and-prune over an explicit
+  stack, started from the analysis matching; each branch is checked by
+  single-root augmenting searches from the partners it frees only,
 * `tutte_berge_witness` - a deficiency-attaining vertex set read off an
-  analysis, verified against its deficiency before it is returned,
-* `hall_violator` - a witness set for unsaturated bipartite sides.
+  analysis, verified against its deficiency before it is returned.
 """
 
 from __future__ import annotations
@@ -26,8 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .multigraph import Multigraph
-
-BRUTE_FORCE_EDGE_LIMIT = 32
 
 
 class Matching:
@@ -68,9 +63,6 @@ class Matching:
 
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self._edges))
-
-    def size(self) -> int:
-        return len(self._edges)
 
     def __len__(self) -> int:
         return len(self._edges)
@@ -223,21 +215,6 @@ def maximum_matching(g: Multigraph) -> Matching:
     return _matching_from(_solve_matching(_support_adj(g)))
 
 
-def matching_number(g: Multigraph) -> int:
-    return _match_size(_solve_matching(_support_adj(g)))
-
-
-def deficiency(g: Multigraph) -> int:
-    """Number of vertices left exposed by any maximum matching."""
-    return g.n - 2 * matching_number(g)
-
-
-def exposed_vertices(g: Multigraph, m: Matching) -> set[int]:
-    """Vertices of g not saturated by m; m must be a matching in g."""
-    m.validate_in(g)
-    return {v for v in range(g.n) if not m.saturates(v)}
-
-
 # -- exhaustive enumeration -------------------------------------------------
 
 
@@ -253,18 +230,11 @@ class EnumerationStats:
     exhaustive: bool
 
 
-@dataclass(frozen=True)
-class MatchingEnumeration:
-    matchings: tuple[Matching, ...]
-    exhaustive: bool
-
-    def count(self) -> int:
-        return len(self.matchings)
-
-
-def visit_maximum_matchings(g: Multigraph, visit: Callable[[Matching], Optional[bool]],
+def visit_maximum_matchings(analysis: MatchingAnalysis,
+                            visit: Callable[[Matching], Optional[bool]],
                             cap: Optional[int] = None) -> EnumerationStats:
-    """Call `visit` on every maximum matching of g, in a fixed order.
+    """Call `visit` on every maximum matching of the analysed graph g, in a
+    fixed order.
 
     Branches on the smallest live vertex v with a live neighbor: first the
     branch that leaves v exposed, then one branch per live neighbor w,
@@ -280,12 +250,14 @@ def visit_maximum_matchings(g: Multigraph, visit: Callable[[Matching], Optional[
     then ends at a partner the deletion freed: a path between two vertices
     `hint` already left exposed would augment `hint` itself (Edmonds 1965).
     So one single-root search per freed partner, at most two per branch,
-    decides feasibility exactly.
+    decides feasibility exactly, and the walk starts from the analysis
+    matching without solving again.  Since feasibility is exact, the order
+    depends on g alone, not on which maximum matching it starts from.
     """
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    n = g.n
-    adj = _support_adj(g)
+    n = analysis.g.n
+    adj = _support_adj(analysis.g)
     alive = [True] * n
     is_alive = alive.__getitem__
     chosen: list[tuple[int, int]] = []
@@ -318,8 +290,10 @@ def visit_maximum_matchings(g: Multigraph, visit: Callable[[Matching], Optional[
     # adj[v][j - 1] is the one being explored.  v stays dead while its frame
     # is on the stack.
     stack: list[list] = []
-    hint = _solve_matching(adj)
-    remaining = _match_size(hint)
+    hint = [-1] * n
+    for u, v in analysis.matching.edges:
+        hint[u], hint[v] = v, u
+    remaining = len(analysis.matching)
     start = 0
     while True:
         if remaining == 0:
@@ -368,86 +342,6 @@ def visit_maximum_matchings(g: Multigraph, visit: Callable[[Matching], Optional[
             break
         else:
             return EnumerationStats(count=count, exhaustive=True)
-
-
-def enumerate_maximum_matchings(g: Multigraph, cap: Optional[int] = None) -> MatchingEnumeration:
-    """Materialize all maximum matchings of g (up to `cap`)."""
-    found: list[Matching] = []
-    stats = visit_maximum_matchings(g, lambda m: found.append(m) or True, cap=cap)
-    return MatchingEnumeration(matchings=tuple(found), exhaustive=stats.exhaustive)
-
-
-# -- brute-force oracle -----------------------------------------------------
-#
-# Exhaustive backtracking over all matchings, sharing nothing with the
-# blossom path above.  Guarded: refuses graphs with more than
-# BRUTE_FORCE_EDGE_LIMIT support edges.
-
-
-def _check_brute_force_guard(g: Multigraph) -> None:
-    m = g.support_edge_count()
-    if m > BRUTE_FORCE_EDGE_LIMIT:
-        raise ValueError(
-            f"brute force limited to {BRUTE_FORCE_EDGE_LIMIT} support edges, got {m}")
-
-
-def _for_each_matching(adj: list[tuple[int, ...]], n: int,
-                       emit: Callable[[list[tuple[int, int]]], None]) -> None:
-    # Visits every matching exactly once: the smallest undecided vertex is
-    # either left exposed for good or matched to a larger free neighbor.
-    covered = [False] * n
-    current: list[tuple[int, int]] = []
-
-    def rec(v: int) -> None:
-        while v < n and covered[v]:
-            v += 1
-        if v == n:
-            emit(current)
-            return
-        rec(v + 1)  # v stays exposed
-        covered[v] = True
-        for w in adj[v]:
-            if w > v and not covered[w]:
-                covered[w] = True
-                current.append((v, w))
-                rec(v + 1)
-                current.pop()
-                covered[w] = False
-        covered[v] = False
-
-    rec(0)
-
-
-def brute_force_matching_number(g: Multigraph) -> int:
-    """Exact matching number by exhaustive search (independent oracle)."""
-    _check_brute_force_guard(g)
-    best = 0
-
-    def emit(current: list[tuple[int, int]]) -> None:
-        nonlocal best
-        if len(current) > best:
-            best = len(current)
-
-    _for_each_matching(_support_adj(g), g.n, emit)
-    return best
-
-
-def brute_force_all_maximum_matchings(g: Multigraph) -> set[Matching]:
-    """All maximum matchings by exhaustive search (independent oracle)."""
-    _check_brute_force_guard(g)
-    best = 0
-    found: set[frozenset[tuple[int, int]]] = set()
-
-    def emit(current: list[tuple[int, int]]) -> None:
-        nonlocal best, found
-        if len(current) > best:
-            best = len(current)
-            found = set()
-        if len(current) == best:
-            found.add(frozenset(current))
-
-    _for_each_matching(_support_adj(g), g.n, emit)
-    return {Matching(edges) for edges in found}
 
 
 # -- structure theory -------------------------------------------------------
@@ -536,11 +430,6 @@ def analyze(g: Multigraph) -> MatchingAnalysis:
         ge=GallaiEdmonds(d=frozenset(d), a=frozenset(a), c=frozenset(c)))
 
 
-def gallai_edmonds(g: Multigraph) -> GallaiEdmonds:
-    """The D/A/C decomposition of g (see `analyze`)."""
-    return analyze(g).ge
-
-
 @dataclass(frozen=True)
 class TutteBergeWitness:
     """Vertex set s with odd_count = (odd components of g - s), attaining
@@ -582,40 +471,3 @@ def tutte_berge_witness(analysis: MatchingAnalysis) -> TutteBergeWitness:
             f"Tutte-Berge identity violated: odd={odd} |s|={len(s)} "
             f"deficiency={analysis.deficiency}; matching implementation is buggy")
     return TutteBergeWitness(s=s, odd_count=odd)
-
-
-def hall_violator(g: Multigraph, side: Iterable[int]) -> Optional[frozenset[int]]:
-    """A set W within `side` with fewer neighbors than members, if any.
-
-    `side` must be one part of a bipartition of g (every support edge must
-    cross).  Returns None exactly when every maximum matching saturates
-    the side.
-    """
-    side_set = set(side)
-    for v in side_set:
-        g._check_vertex(v)
-    for u, v in g.support_edges():
-        if (u in side_set) == (v in side_set):
-            raise ValueError(f"edge {u}-{v} does not cross the given side; "
-                             "graph is not bipartite with this part")
-    m = maximum_matching(g)
-    exposed_side = [v for v in sorted(side_set) if not m.saturates(v)]
-    if not exposed_side:
-        return None
-    # Alternating reachability from the exposed side vertices: free edges
-    # out of the side, matched edges back into it.
-    reach = set(exposed_side)
-    queue = deque(exposed_side)
-    while queue:
-        u = queue.popleft()
-        if u in side_set:
-            for w in g.support_neighbors(u):
-                if w != m.partner(u) and w not in reach:
-                    reach.add(w)
-                    queue.append(w)
-        else:
-            p = m.partner(u)
-            if p is not None and p not in reach:
-                reach.add(p)
-                queue.append(p)
-    return frozenset(reach & side_set)

@@ -18,6 +18,11 @@ from typing import Iterable, Iterator, Optional, Union
 
 HUB_NAMES = ("x", "y", "z")
 
+# Largest vertex count an MGF header may declare.  The parser allocates one
+# adjacency dict per vertex before it reads any bundle, so an unchecked
+# header would let a one-line input allocate without bound.
+MGF_MAX_VERTICES = 1_000_000
+
 
 @dataclass(frozen=True)
 class Hub:
@@ -418,10 +423,10 @@ def _parse_label_tokens(tokens: list[str], line_no: int) -> tuple[int, VertexLab
 def parse_mgf(text: str) -> Multigraph:
     """Parse MGF text into a frozen Multigraph.
 
-    Grammar: line 1 is `mgf <n>`; optional `# label <id> ...` lines follow;
-    then one `<u> <v> <multiplicity>` line per bundle with u < v and each
-    unordered pair appearing at most once.  Blank lines are ignored.
-    Errors carry the offending line number.
+    Grammar: line 1 is `mgf <n>` with 0 <= n <= MGF_MAX_VERTICES; optional
+    `# label <id> ...` lines follow; then one `<u> <v> <multiplicity>` line
+    per bundle with u < v and each unordered pair appearing at most once.
+    Blank lines are ignored.  Errors carry the offending line number.
     """
     g: Optional[Multigraph] = None
     seen_bundle = False
@@ -437,6 +442,9 @@ def parse_mgf(text: str) -> Multigraph:
             n = _parse_int(tokens[1], line_no, "vertex count")
             if n < 0:
                 raise MGFParseError(line_no, f"vertex count must be >= 0, got {n}")
+            if n > MGF_MAX_VERTICES:
+                raise MGFParseError(
+                    line_no, f"vertex count must be <= {MGF_MAX_VERTICES}, got {n}")
             g = Multigraph(n)
             continue
         if tokens[0] == "#":

@@ -14,8 +14,9 @@ deficiency <= 1 short-circuits; two sound-but-incomplete structural
 certificates read off the analysis can prove a counterexample (the
 question runs them before enumerating, the refutation modes once
 enumeration hits its cap); enumeration of maximum matchings is exact but
-capped.  Every outcome is wrapped in a VerificationReport that records
-which method actually decided.
+capped, and starts from the analysis matching, so every decision makes
+exactly one blossom solve.  Every outcome is wrapped in a
+VerificationReport that records which method actually decided.
 """
 
 from __future__ import annotations
@@ -96,11 +97,6 @@ class VerificationReport:
     exhaustive: bool = False
     witness: Witness = None
     detail: str = ""
-
-
-def _validate_cap(cap: int) -> None:
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
 
 
 class _SmallestCommonNeighbor(dict):
@@ -250,7 +246,8 @@ def _decide(g: Multigraph, mode: Optional[PairMode], cap: int,
     before enumeration instead of after the cap, and in showing the analysed
     matching, not the first one enumerated, when every matching fails.
     """
-    _validate_cap(cap)
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
     analysis = analyze(g)
     defic = analysis.deficiency
     vertices = frozenset(range(g.n))
@@ -287,7 +284,7 @@ def _decide(g: Multigraph, mode: Optional[PairMode], cap: int,
                 sample.append(MatchingWitness(m, exposed, *hit))
         return True
 
-    stats = visit_maximum_matchings(g, check, cap=cap)
+    stats = visit_maximum_matchings(analysis, check, cap=cap)
     if refuting:
         what = ("an exposed pair sharing no neighbor" if mode is PairMode.ALL_PAIRS
                 else "common-neighbor-free exposed set")
@@ -340,81 +337,3 @@ def _certified(analysis: MatchingAnalysis, mode: Optional[PairMode],
     return VerificationReport(
         verdict=Verdict.COUNTEREXAMPLE, method=METHOD_CERTIFICATE,
         matchings_examined=count, exhaustive=False, witness=cert, detail=detail)
-
-
-class SubcubicGuaranteeError(RuntimeError):
-    """A graph with all degrees in {2, 3} came back as a counterexample.
-
-    That outcome is impossible for a correct implementation, so it is
-    raised as a loud implementation-bug signal rather than returned.
-    """
-
-    def __init__(self, report: VerificationReport):
-        super().__init__(
-            "counterexample verdict on a graph with 2 <= min degree <= max degree <= 3; "
-            "this contradicts a known guarantee and indicates a bug")
-        self.report = report
-
-
-def check_subcubic_guarantee(g: Multigraph, cap: int = DEFAULT_CAP) -> VerificationReport:
-    """Run conjecture_holds on a graph with 2 <= min <= max degree <= 3.
-
-    Such graphs always satisfy the property, so the verdict must be holds
-    (or inconclusive under a tiny cap); a counterexample verdict raises.
-    """
-    if g.n == 0:
-        raise ValueError("degree precondition needs a nonempty graph")
-    lo, hi = g.min_degree(), g.max_degree()
-    if not (2 <= lo and hi <= 3):
-        raise ValueError(f"degrees must lie in [2, 3], got min {lo} max {hi}")
-    report = conjecture_holds(g, cap=cap)
-    if report.verdict is Verdict.COUNTEREXAMPLE:
-        raise SubcubicGuaranteeError(report)
-    return report
-
-
-def all_maximum_matchings_saturate(g: Multigraph, s: Sequence[int],
-                                   cap: int = DEFAULT_CAP) -> VerificationReport:
-    """Do all maximum matchings saturate every vertex of s?
-
-    Decided exactly by the Gallai-Edmonds D criterion (holds iff s avoids
-    D); enumeration up to `cap` cross-checks the verdict and any
-    disagreement on an exhaustive run raises.
-    """
-    _validate_cap(cap)
-    s_set = frozenset(s)
-    for v in s_set:
-        g._check_vertex(v)
-    bad = sorted(s_set & analyze(g).ge.d)
-    vertices = frozenset(range(g.n))
-    exposed_hits: list[MatchingWitness] = []
-
-    def check(m: Matching) -> bool:
-        if not exposed_hits and m.unsaturated(s_set):
-            exposed_hits.append(MatchingWitness(m, _exposed(m, vertices)))
-        return True
-
-    stats = visit_maximum_matchings(g, check, cap=cap)
-    if stats.exhaustive and bool(bad) != bool(exposed_hits):
-        raise RuntimeError(
-            "Gallai-Edmonds saturation verdict disagrees with exhaustive "
-            "enumeration; matching implementation is buggy")
-    if not bad:
-        return VerificationReport(
-            verdict=Verdict.HOLDS, method=METHOD_CERTIFICATE,
-            matchings_examined=stats.count, exhaustive=stats.exhaustive,
-            detail="s avoids every exposable vertex")
-    if exposed_hits:
-        witness = exposed_hits[0]
-    else:  # bad[0] is in D: a maximum matching of g - bad[0] is maximum in g
-        from .matching import _matching_from, _solve_matching, _support_adj  # array-level internals
-
-        alive = [True] * g.n
-        alive[bad[0]] = False
-        m = _matching_from(_solve_matching(_support_adj(g), alive))
-        witness = MatchingWitness(m, _exposed(m, vertices))
-    return VerificationReport(
-        verdict=Verdict.COUNTEREXAMPLE, method=METHOD_CERTIFICATE,
-        matchings_examined=stats.count, exhaustive=stats.exhaustive,
-        witness=witness,
-        detail=f"vertices {bad} are exposable")

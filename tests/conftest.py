@@ -1,4 +1,5 @@
-"""Shared graph builders and random corpora for the test suite."""
+"""Shared graph builders, random corpora and reference oracles for the
+test suite."""
 
 from __future__ import annotations
 
@@ -8,7 +9,13 @@ from typing import Callable, Optional
 
 from hypothesis import HealthCheck, settings
 
-from matchex import GallaiEdmonds, Multigraph, derive_item_seed
+from matchex import (
+    GallaiEdmonds,
+    Multigraph,
+    analyze,
+    derive_item_seed,
+    visit_maximum_matchings,
+)
 from matchex.matching import (
     EnumerationStats,
     Matching,
@@ -140,6 +147,81 @@ def random_subcubic_connected(rng: random.Random, n_min: int = 4,
                 return g
 
 
+# -- brute-force oracle -----------------------------------------------------
+#
+# Exhaustive backtracking over all matchings, sharing nothing with the
+# blossom code of matchex.matching.  Guarded: refuses graphs with more than
+# BRUTE_FORCE_EDGE_LIMIT support edges.
+
+BRUTE_FORCE_EDGE_LIMIT = 32
+
+
+def _check_brute_force_guard(g: Multigraph) -> None:
+    m = g.support_edge_count()
+    if m > BRUTE_FORCE_EDGE_LIMIT:
+        raise ValueError(
+            f"brute force limited to {BRUTE_FORCE_EDGE_LIMIT} support edges, got {m}")
+
+
+def _for_each_matching(adj: list[tuple[int, ...]], n: int,
+                       emit: Callable[[list[tuple[int, int]]], None]) -> None:
+    # Visits every matching exactly once: the smallest undecided vertex is
+    # either left exposed for good or matched to a larger free neighbor.
+    covered = [False] * n
+    current: list[tuple[int, int]] = []
+
+    def rec(v: int) -> None:
+        while v < n and covered[v]:
+            v += 1
+        if v == n:
+            emit(current)
+            return
+        rec(v + 1)  # v stays exposed
+        covered[v] = True
+        for w in adj[v]:
+            if w > v and not covered[w]:
+                covered[w] = True
+                current.append((v, w))
+                rec(v + 1)
+                current.pop()
+                covered[w] = False
+        covered[v] = False
+
+    rec(0)
+
+
+def brute_force_matching_number(g: Multigraph) -> int:
+    """Exact matching number by exhaustive search (independent oracle)."""
+    _check_brute_force_guard(g)
+    best = 0
+
+    def emit(current: list[tuple[int, int]]) -> None:
+        nonlocal best
+        if len(current) > best:
+            best = len(current)
+
+    _for_each_matching(_support_adj(g), g.n, emit)
+    return best
+
+
+def brute_force_all_maximum_matchings(g: Multigraph) -> set[Matching]:
+    """All maximum matchings by exhaustive search (independent oracle)."""
+    _check_brute_force_guard(g)
+    best = 0
+    found: set[frozenset[tuple[int, int]]] = set()
+
+    def emit(current: list[tuple[int, int]]) -> None:
+        nonlocal best, found
+        if len(current) > best:
+            best = len(current)
+            found = set()
+        if len(current) == best:
+            found.add(frozenset(current))
+
+    _for_each_matching(_support_adj(g), g.n, emit)
+    return {Matching(edges) for edges in found}
+
+
 def deletion_gallai_edmonds(g: Multigraph) -> GallaiEdmonds:
     """Reference decomposition by the deletion oracle: v is in D iff
     deleting v leaves the matching number unchanged (n+1 blossom solves)."""
@@ -241,3 +323,12 @@ def reference_visit_maximum_matchings(
 
     finished = walk(base, target)
     return EnumerationStats(count=state["count"], exhaustive=finished and not state["stopped"])
+
+
+def collect_maximum_matchings(
+        g: Multigraph, cap: Optional[int] = None) -> tuple[list[Matching], EnumerationStats]:
+    """The maximum matchings of g that `visit_maximum_matchings` delivers,
+    in its order, and its stats."""
+    found: list[Matching] = []
+    stats = visit_maximum_matchings(analyze(g), lambda m: found.append(m) or True, cap=cap)
+    return found, stats

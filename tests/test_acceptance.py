@@ -11,26 +11,19 @@ import functools
 import time
 
 from matchex import (
-    BRUTE_FORCE_EDGE_LIMIT,
     FamilySpec,
     HuntConfig,
     PairMode,
     Verdict,
-    all_maximum_matchings_saturate,
     analyze,
-    brute_force_all_maximum_matchings,
-    brute_force_matching_number,
     build_family,
-    check_subcubic_guarantee,
-    deficiency,
     derive_item_seed,
-    enumerate_maximum_matchings,
     expected_stats,
     format_summary,
     hub_classes_from_labels,
     hunt,
     is_counterexample,
-    matching_number,
+    maximum_matching,
     parse_mgf,
     strong_counterexample_certificate,
     tutte_berge_witness,
@@ -40,7 +33,11 @@ from matchex.verify import METHOD_CERTIFICATE, METHOD_ENUMERATION, conjecture_ho
 
 from conftest import (
     ACCEPTANCE_LINES,
+    BRUTE_FORCE_EDGE_LIMIT,
     CORPUS_SEED,
+    brute_force_all_maximum_matchings,
+    brute_force_matching_number,
+    collect_maximum_matchings,
     random_graph_corpus,
     random_subcubic_connected,
 )
@@ -109,7 +106,7 @@ def test_criterion_2_deficiency_reproduction():
         want = {"B": spec.r, "G": 2 * spec.r - 2, "H": 2 * spec.r - 2,
                 "F": spec.r - 3}[spec.family]
         assert expected_stats(spec).expected_deficiency == want
-        assert deficiency(g) == want, spec
+        assert analyze(g).deficiency == want, spec
 
 
 @criterion(3, "B2-allpairs-exhaustive", bound=60.0)
@@ -170,19 +167,16 @@ def test_criterion_6_certificates_at_scale():
 
 @criterion(7, "saturation-claims")
 def test_criterion_7_saturation_claims():
-    # cap comfortably above both full counts so the D-criterion verdicts
-    # are cross-checked against exhaustive enumeration
-    b2 = build_family(FamilySpec("B", 2))
+    # every maximum matching saturates s iff s avoids the Gallai-Edmonds D
+    # set; the cap is comfortably above both full counts so the D criterion
+    # is cross-checked against exhaustive enumeration
     r = 2
-    u_side = range(2 * r * r - r)
-    report = all_maximum_matchings_saturate(b2, u_side, cap=25_000)
-    assert report.verdict is Verdict.HOLDS
-    assert report.exhaustive
-
-    g3 = build_family(FamilySpec("G", 3))
-    report = all_maximum_matchings_saturate(g3, [0, 1, 2], cap=25_000)
-    assert report.verdict is Verdict.HOLDS
-    assert report.exhaustive
+    for g, s in ((build_family(FamilySpec("B", r)), frozenset(range(2 * r * r - r))),
+                 (build_family(FamilySpec("G", 3)), frozenset({0, 1, 2}))):
+        assert set(s) & analyze(g).ge.d == set()
+        found, stats = collect_maximum_matchings(g, cap=25_000)
+        assert stats.exhaustive
+        assert [m for m in found if m.unsaturated(s)] == []
 
 
 @criterion(8, "oracle-equivalence")
@@ -193,11 +187,11 @@ def test_criterion_8_oracle_equivalence():
                if g.support_edge_count() <= BRUTE_FORCE_EDGE_LIMIT]
     assert len(graphs) > 500  # at least one family graph fits the guard
     for g in graphs:
-        if matching_number(g) != brute_force_matching_number(g):
+        if len(maximum_matching(g)) != brute_force_matching_number(g):
             mismatches += 1
             continue
-        enum = enumerate_maximum_matchings(g)
-        if not enum.exhaustive or set(enum.matchings) != brute_force_all_maximum_matchings(g):
+        found, stats = collect_maximum_matchings(g)
+        if not stats.exhaustive or set(found) != brute_force_all_maximum_matchings(g):
             mismatches += 1
     assert mismatches == 0
 
@@ -207,7 +201,7 @@ def test_criterion_9_tutte_berge_identity():
     pool = [g for _, g in family_graphs()] + list(random_corpus())
     for g in pool:
         w = tutte_berge_witness(analyze(g))  # raises internally on any mismatch
-        assert w.odd_count - len(w.s) == deficiency(g)
+        assert w.odd_count - len(w.s) == g.n - 2 * len(maximum_matching(g))
 
 
 @criterion(10, "subcubic-regression", bound=120.0)
@@ -217,7 +211,8 @@ def test_criterion_10_subcubic_regression():
     for i in range(200):
         rng = random.Random(derive_item_seed(SUBCUBIC_SEED, i))
         g = random_subcubic_connected(rng, n_min=4, n_max=12)
-        report = check_subcubic_guarantee(g)  # raises on counterexample
+        assert 2 <= g.min_degree() <= g.max_degree() <= 3, f"graph {i}"
+        report = conjecture_holds(g)
         assert report.verdict is Verdict.HOLDS, f"graph {i}"
 
 

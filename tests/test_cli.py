@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchex import (
     HuntConfig,
@@ -22,6 +25,7 @@ from matchex import (
     serialize_mgf,
 )
 from matchex import matching as matching_mod
+from matchex import multigraph as multigraph_mod
 from matchex.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_ERROR,
@@ -262,14 +266,17 @@ def count_solves(monkeypatch):
     (["info"], build_G(3), 1),
     (["verify"], build_B(2), 1),  # strong certificate
     (["verify"], build_G(3), 1),  # weak certificate
-    # the enumerator keeps its own base solve
-    (["verify", "--mode", "some-pair", "--cap", "100"], build_G(3), 2),
+    # the enumerator starts from the analysis matching
+    (["verify", "--mode", "some-pair", "--cap", "100"], build_G(3), 1),
+    (["enumerate", "--cap", "100"], build_G(3), 1),
+    (["verify", "--mode", "all-pairs"], build_F(5), 1),  # 4320 matchings
+    (["verify", "--cap", "100"], parse_mgf(unlabeled_G3_mgf()), 1),  # inconclusive
 ])
 def test_one_blossom_solve_per_decision(capsys, monkeypatch, argv, graph, solves):
     text = serialize_mgf(graph)
     calls = count_solves(monkeypatch)
     code, _, _ = run_cli(argv, capsys, monkeypatch, stdin_text=text)
-    assert code in (EXIT_OK, EXIT_COUNTEREXAMPLE)
+    assert code in (EXIT_OK, EXIT_COUNTEREXAMPLE, EXIT_INCONCLUSIVE)
     assert calls[0] == solves
 
 
@@ -455,3 +462,81 @@ def test_missing_command(capsys):
 
 def test_unknown_command(capsys):
     assert run_cli(["frobnicate"], capsys)[0] == EXIT_ERROR
+
+
+@pytest.mark.parametrize("n", [multigraph_mod.MGF_MAX_VERTICES + 1, 10**18])
+def test_verify_rejects_header_above_vertex_limit(capsys, monkeypatch, n):
+    # a missing check would build the graph, and here fail fast instead of
+    # allocating n adjacency dicts
+    def refuse(*args, **kwargs):
+        raise AssertionError("Multigraph built for an over-limit header")
+
+    monkeypatch.setattr(multigraph_mod, "Multigraph", refuse)
+    code, out, err = run_cli(["verify"], capsys, monkeypatch, stdin_text=f"mgf {n}\n0 1 1\n")
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert f"line 1: vertex count must be <= {multigraph_mod.MGF_MAX_VERTICES}" in err
+
+
+# -------------------------------------------------- fuzz: crash is no verdict
+
+_FUZZ_COMMANDS = (
+    ["info"],
+    ["enumerate", "--cap", "50"],
+    *(["verify", "--mode", mode, "--cap", "50"]
+      for mode in ("conjecture", "some-pair", "all-pairs")),
+)
+
+_LABELS = ("hub x", "hub y", "hub z", "copy 1 1", "copy 1 2", "copy 2 1", "copy 2 2",
+           "pair 1 2")
+_noise_line = st.one_of(
+    st.text(max_size=12),
+    st.builds(lambda u, v, m: f"{u} {v} {m}",
+              st.integers(-1, 13), st.integers(-1, 13), st.integers(-1, 4)),
+    st.builds(lambda v, label: f"# label {v} {label}", st.integers(-1, 13),
+              st.sampled_from(_LABELS + ("hub w", "copy 0 1", "pair 2 2", "plain 3"))),
+)
+
+
+@st.composite
+def _near_mgf(draw):
+    """MGF text of a graph on at most 12 vertices, mostly well formed:
+    label lines, then bundles with u < v, plus at most one noise line
+    anywhere (garbage, or a label or bundle line that may be out of range,
+    repeated or out of place)."""
+    n = draw(st.integers(0, 12))
+    lines = [f"mgf {n}"]
+    if n:
+        vertex = st.integers(0, n - 1)
+        for v, label in draw(st.lists(st.tuples(vertex, st.sampled_from(_LABELS)),
+                                      max_size=3, unique_by=lambda t: t[1])):
+            lines.append(f"# label {v} {label}")
+        pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda p: p[0] < p[1]),
+                              unique=True, max_size=20))
+        lines += [f"{u} {v} {draw(st.integers(1, 3))}" for u, v in pairs]
+    for at, line in draw(st.lists(st.tuples(st.integers(0, len(lines)), _noise_line),
+                                  max_size=1)):
+        lines.insert(at, line)
+    return "\n".join(lines) + "\n"
+
+
+def _main_quiet(argv, text):
+    """`main(argv)` with stdin from `text` and its output discarded; returns
+    the exit code and stderr (hypothesis gives no fresh capsys per example)."""
+    err = io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    return code, err.getvalue()
+
+
+@settings(max_examples=200)
+@given(st.one_of(_near_mgf(), st.text(max_size=40)))
+def test_fuzz_exit_code_is_never_internal_error(text):
+    for argv in _FUZZ_COMMANDS:
+        code, err = _main_quiet(argv, text)
+        assert code in (EXIT_OK, EXIT_COUNTEREXAMPLE, EXIT_ERROR, EXIT_INCONCLUSIVE), (argv, err)

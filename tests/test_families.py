@@ -12,12 +12,12 @@ from matchex import (
     FamilyStats,
     Hub,
     Pair,
+    analyze,
     build_B,
     build_F,
     build_G,
     build_H,
     build_family,
-    deficiency,
     expected_stats,
     serialize_mgf,
 )
@@ -82,7 +82,7 @@ def test_family_matches_expected_stats(spec):
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.family}{s.r}")
 def test_family_deficiency(spec):
-    assert deficiency(build_family(spec)) == expected_stats(spec).expected_deficiency
+    assert analyze(build_family(spec)).deficiency == expected_stats(spec).expected_deficiency
 
 
 def test_degree_profile_mismatches():

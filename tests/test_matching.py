@@ -1,4 +1,4 @@
-"""Blossom solver, enumeration, brute-force oracle, structure theory."""
+"""Blossom solver, enumeration against the brute-force oracle, structure theory."""
 
 from __future__ import annotations
 
@@ -14,30 +14,25 @@ from hypothesis import strategies as st
 
 import matchex.matching as matching_mod
 from matchex import (
-    BRUTE_FORCE_EDGE_LIMIT,
     Matching,
     Multigraph,
     analyze,
-    brute_force_all_maximum_matchings,
-    brute_force_matching_number,
     build_B,
     build_F,
     build_G,
     build_H,
-    deficiency,
     derive_item_seed,
-    enumerate_maximum_matchings,
-    exposed_vertices,
-    gallai_edmonds,
-    hall_violator,
-    matching_number,
     maximum_matching,
     tutte_berge_witness,
     visit_maximum_matchings,
 )
 
 from conftest import (
+    BRUTE_FORCE_EDGE_LIMIT,
     CORPUS_SEED,
+    brute_force_all_maximum_matchings,
+    brute_force_matching_number,
+    collect_maximum_matchings,
     complete_graph,
     cycle_graph,
     deletion_gallai_edmonds,
@@ -55,7 +50,7 @@ from conftest import (
 def test_matching_normalizes_and_validates():
     m = Matching([(2, 1), (0, 3)])
     assert m.sorted_edges() == ((0, 3), (1, 2))
-    assert m.size() == 2 and len(m) == 2
+    assert len(m) == 2
     assert m.saturates(3) and not m.saturates(4)
     assert m.partner(1) == 2 and m.partner(4) is None
     with pytest.raises(ValueError):
@@ -82,10 +77,11 @@ def test_matching_validate_in():
 
 def test_exposed_vertices():
     g = path_graph(3)
-    assert exposed_vertices(g, Matching([(0, 1)])) == {2}
-    assert exposed_vertices(g, Matching([])) == {0, 1, 2}
+    vertices = frozenset(range(g.n))
+    assert Matching([(0, 1)]).unsaturated(vertices) == {2}
+    assert Matching([]).unsaturated(vertices) == {0, 1, 2}
     with pytest.raises(ValueError):
-        exposed_vertices(g, Matching([(0, 2)]))
+        Matching([(0, 2)]).validate_in(g)
 
 
 # ------------------------------------------------------------- known values
@@ -110,11 +106,10 @@ def test_exposed_vertices():
     ],
 )
 def test_matching_number_known(g, nu):
-    assert matching_number(g) == nu
-    assert deficiency(g) == g.n - 2 * nu
     m = maximum_matching(g)
     m.validate_in(g)
-    assert m.size() == nu
+    assert len(m) == nu
+    assert analyze(g).deficiency == g.n - 2 * nu
 
 
 def test_maximum_matching_deterministic():
@@ -137,55 +132,54 @@ def test_maximum_matching_deterministic():
     ],
 )
 def test_enumeration_counts_known(g, count):
-    enum = enumerate_maximum_matchings(g)
-    assert enum.count() == count
-    assert enum.exhaustive
-    assert len(set(enum.matchings)) == count
+    found, stats = collect_maximum_matchings(g)
+    assert stats.count == len(found) == count
+    assert stats.exhaustive
+    assert len(set(found)) == count
 
 
 def test_enumeration_order_expose_branch_first():
-    enum = enumerate_maximum_matchings(path_graph(3))
-    assert enum.matchings == (Matching([(1, 2)]), Matching([(0, 1)]))
+    found, _ = collect_maximum_matchings(path_graph(3))
+    assert found == [Matching([(1, 2)]), Matching([(0, 1)])]
 
 
 def test_enumeration_deterministic():
     g = petersen_graph()
-    a = enumerate_maximum_matchings(g).matchings
-    b = enumerate_maximum_matchings(g).matchings
-    assert a == b
+    assert collect_maximum_matchings(g) == collect_maximum_matchings(g)
 
 
 def test_enumeration_cap_semantics():
     g = cycle_graph(5)  # exactly 5 maximum matchings
-    assert enumerate_maximum_matchings(g, cap=3).count() == 3
-    assert not enumerate_maximum_matchings(g, cap=3).exhaustive
-    full = enumerate_maximum_matchings(g, cap=5)
-    assert full.count() == 5 and full.exhaustive
+    found, stats = collect_maximum_matchings(g, cap=3)
+    assert stats.count == len(found) == 3
+    assert not stats.exhaustive
+    found, stats = collect_maximum_matchings(g, cap=5)
+    assert stats.count == len(found) == 5 and stats.exhaustive
     with pytest.raises(ValueError):
-        enumerate_maximum_matchings(g, cap=0)
+        collect_maximum_matchings(g, cap=0)
 
 
 def test_empty_graph_single_empty_matching_under_cap():
-    stats = visit_maximum_matchings(Multigraph(3).freeze(), lambda m: True, cap=1)
+    stats = visit_maximum_matchings(analyze(Multigraph(3).freeze()), lambda m: True, cap=1)
     assert stats.count == 1 and stats.exhaustive
 
 
 def test_visitor_early_stop():
-    stats = visit_maximum_matchings(cycle_graph(5), lambda m: False)
+    stats = visit_maximum_matchings(analyze(cycle_graph(5)), lambda m: False)
     assert stats.count == 1
     assert not stats.exhaustive
 
 
 def test_visited_matchings_are_maximum_and_valid():
     g = cycle_graph(7)
-    nu = matching_number(g)
+    nu = len(maximum_matching(g))
 
     def check(m):
         m.validate_in(g)
-        assert m.size() == nu
+        assert len(m) == nu
         return True
 
-    stats = visit_maximum_matchings(g, check)
+    stats = visit_maximum_matchings(analyze(g), check)
     assert stats.exhaustive
 
 
@@ -194,7 +188,7 @@ def test_enumeration_depth_beyond_recursion_limit(build):
     # 2500 branch levels lie above the first matching
     g = build(5001)
     start = time.perf_counter()
-    stats = visit_maximum_matchings(g, lambda m: False)
+    stats = visit_maximum_matchings(analyze(g), lambda m: False)
     elapsed = time.perf_counter() - start
     assert stats.count == 1 and not stats.exhaustive
     assert elapsed < 30.0, f"first matching took {elapsed:.2f}s on n={g.n}"
@@ -214,14 +208,14 @@ def test_brute_force_guard():
 
 def test_blossom_agrees_with_brute_force_on_corpus():
     for g in random_graph_corpus(seed=202, count=200):
-        assert matching_number(g) == brute_force_matching_number(g)
+        assert len(maximum_matching(g)) == brute_force_matching_number(g)
 
 
 def test_enumeration_agrees_with_brute_force_on_corpus():
     for g in random_graph_corpus(seed=203, count=120):
-        enum = enumerate_maximum_matchings(g)
-        assert enum.exhaustive
-        assert set(enum.matchings) == brute_force_all_maximum_matchings(g)
+        found, stats = collect_maximum_matchings(g)
+        assert stats.exhaustive
+        assert set(found) == brute_force_all_maximum_matchings(g)
 
 
 def test_matching_number_agrees_with_networkx():
@@ -230,7 +224,7 @@ def test_matching_number_agrees_with_networkx():
         h.add_nodes_from(range(g.n))
         h.add_edges_from(g.support_edges())
         expect = len(nx.max_weight_matching(h, maxcardinality=True))
-        assert matching_number(g) == expect
+        assert len(maximum_matching(g)) == expect
 
 
 _small_graphs_pairs = st.integers(0, 7).flatmap(
@@ -259,24 +253,22 @@ def small_multigraphs(draw):
 
 @given(small_multigraphs())
 def test_property_blossom_matches_brute(g):
-    assert matching_number(g) == brute_force_matching_number(g)
+    assert len(maximum_matching(g)) == brute_force_matching_number(g)
 
 
 @given(small_multigraphs())
 def test_property_enumeration_matches_brute(g):
-    enum = enumerate_maximum_matchings(g)
-    assert enum.exhaustive
-    assert set(enum.matchings) == brute_force_all_maximum_matchings(g)
+    found, stats = collect_maximum_matchings(g)
+    assert stats.exhaustive
+    assert set(found) == brute_force_all_maximum_matchings(g)
 
 
 @given(small_multigraphs())
 def test_property_multiplicities_do_not_matter(g):
     s = g.support_graph()
-    assert matching_number(g) == matching_number(s)
-    assert set(enumerate_maximum_matchings(g).matchings) == set(
-        enumerate_maximum_matchings(s).matchings
-    )
-    assert gallai_edmonds(g) == gallai_edmonds(s)
+    assert len(maximum_matching(g)) == len(maximum_matching(s))
+    assert set(collect_maximum_matchings(g)[0]) == set(collect_maximum_matchings(s)[0])
+    assert analyze(g).ge == analyze(s).ge
 
 
 # ------------------------------------------- reference enumerator agreement
@@ -296,7 +288,7 @@ def _visit_trace(enumerator, g, cap=None, stop_after=None):
 
 
 def _assert_same_as_reference(g, cap=None, stop_after=None):
-    got = _visit_trace(visit_maximum_matchings, g, cap, stop_after)
+    got = _visit_trace(visit_maximum_matchings, analyze(g), cap, stop_after)
     assert got == _visit_trace(reference_visit_maximum_matchings, g, cap, stop_after)
     return got
 
@@ -352,7 +344,7 @@ def test_property_enumerator_matches_reference(g, cap, stop_after):
     ],
 )
 def test_gallai_edmonds_known(g, d, a):
-    ge = gallai_edmonds(g)
+    ge = analyze(g).ge
     assert ge.d == frozenset(d)
     assert ge.a == frozenset(a)
     assert ge.c == frozenset(range(g.n)) - ge.d - ge.a
@@ -360,14 +352,15 @@ def test_gallai_edmonds_known(g, d, a):
 
 def test_gallai_edmonds_partition_and_exposure_on_corpus():
     for g in random_graph_corpus(seed=205, count=80):
-        ge = gallai_edmonds(g)
+        ge = analyze(g).ge
         assert ge.d | ge.a | ge.c == set(range(g.n))
         assert not (ge.d & ge.a) and not (ge.d & ge.c) and not (ge.a & ge.c)
-        enum = enumerate_maximum_matchings(g)
-        assert enum.exhaustive
+        found, stats = collect_maximum_matchings(g)
+        assert stats.exhaustive
         exposable = set()
-        for m in enum.matchings:
-            exposable |= exposed_vertices(g, m)
+        for m in found:
+            m.validate_in(g)
+            exposable |= m.unsaturated(frozenset(range(g.n)))
         assert ge.d == frozenset(exposable)
 
 
@@ -375,7 +368,7 @@ def test_gallai_edmonds_matches_deletion_oracle_on_acceptance_corpus():
     corpus = random_graph_corpus(seed=CORPUS_SEED, count=500,
                                  max_n=12, max_support_edges=32)
     for g in corpus:
-        assert gallai_edmonds(g) == deletion_gallai_edmonds(g)
+        assert analyze(g).ge == deletion_gallai_edmonds(g)
 
 
 def test_analyze_agrees_with_separate_solves_on_corpus():
@@ -385,7 +378,7 @@ def test_analyze_agrees_with_separate_solves_on_corpus():
         assert analysis.g is g
         assert analysis.matching == maximum_matching(g)
         analysis.matching.validate_in(g)
-        assert analysis.deficiency == deficiency(g)
+        assert analysis.deficiency == g.n - 2 * len(maximum_matching(g))
         assert analysis.ge == deletion_gallai_edmonds(g)
 
 
@@ -396,19 +389,19 @@ def test_analyze_agrees_with_separate_solves_on_corpus():
 )
 def test_gallai_edmonds_matches_deletion_oracle_on_families(build, r):
     g = build(r)
-    assert gallai_edmonds(g) == deletion_gallai_edmonds(g)
+    assert analyze(g).ge == deletion_gallai_edmonds(g)
 
 
 @given(small_multigraphs())
 def test_property_gallai_edmonds_matches_deletion_oracle(g):
-    assert gallai_edmonds(g) == deletion_gallai_edmonds(g)
+    assert analyze(g).ge == deletion_gallai_edmonds(g)
 
 
 def _timed_gallai_edmonds(g):
     start = time.perf_counter()
-    ge = gallai_edmonds(g)
+    ge = analyze(g).ge
     elapsed = time.perf_counter() - start
-    assert elapsed < 10.0, f"gallai_edmonds took {elapsed:.2f}s on n={g.n}"
+    assert elapsed < 10.0, f"analyze took {elapsed:.2f}s on n={g.n}"
     return ge
 
 
@@ -438,7 +431,7 @@ def test_gallai_edmonds_raises_on_non_maximum_matching(monkeypatch):
     monkeypatch.setattr(matching_mod, "_solve_matching",
                         lambda adj, alive=None, match=None: [-1] * len(adj))
     with pytest.raises(RuntimeError, match="matching implementation is buggy"):
-        gallai_edmonds(path_graph(3))
+        analyze(path_graph(3))
 
 
 # -------------------------------------------------------------- Tutte-Berge
@@ -458,14 +451,14 @@ def test_tutte_berge_known(g, s, odd):
     w = tutte_berge_witness(analyze(g))
     assert w.s == frozenset(s)
     assert w.odd_count == odd
-    assert w.odd_count - len(w.s) == deficiency(g)
+    assert w.odd_count - len(w.s) == g.n - 2 * len(maximum_matching(g))
 
 
 def test_tutte_berge_identity_on_corpus():
     # the function re-derives odd components and raises on any mismatch
     for g in random_graph_corpus(seed=206, count=120):
         w = tutte_berge_witness(analyze(g))
-        assert w.odd_count - len(w.s) == deficiency(g)
+        assert w.odd_count - len(w.s) == g.n - 2 * len(maximum_matching(g))
 
 
 def test_tutte_berge_raises_on_inconsistent_analysis():
@@ -477,44 +470,53 @@ def test_tutte_berge_raises_on_inconsistent_analysis():
 
 
 # ------------------------------------------------------------ Hall violator
+#
+# On a bipartite graph, the members of a side that some maximum matching
+# leaves exposed are ge.d & side; when that set is not empty it has fewer
+# neighbors than members (a Hall violator), and when it is empty every
+# maximum matching saturates the side.
+
+
+def _hall_violator(g, side):
+    return analyze(g).ge.d & frozenset(side)
+
+
+def _assert_violates_hall(g, w):
+    nbrs = {x for v in w for x in g.support_neighbors(v)}
+    assert len(nbrs) < len(w)
 
 
 def test_hall_violator_star():
     g = star_graph(3)
-    w = hall_violator(g, side={1, 2, 3})
+    w = _hall_violator(g, {1, 2, 3})
     assert w == frozenset({1, 2, 3})
-    assert hall_violator(g, side={0}) is None
+    _assert_violates_hall(g, w)
+    assert not _hall_violator(g, {0})
 
 
 def test_hall_violator_path3():
-    w = hall_violator(path_graph(3), side={0, 2})
+    g = path_graph(3)
+    w = _hall_violator(g, {0, 2})
     assert w == frozenset({0, 2})
+    _assert_violates_hall(g, w)
 
 
 def test_hall_violator_cycle4():
-    assert hall_violator(cycle_graph(4), side={0, 2}) is None
+    assert not _hall_violator(cycle_graph(4), {0, 2})
 
 
 def test_hall_violator_family_B2():
     g = build_B(2)
     u_side = set(range(6))
     v_side = set(range(6, 14))
-    assert hall_violator(g, side=u_side) is None
-    w = hall_violator(g, side=v_side)
-    assert w is not None and w <= v_side
-    nbrs = {x for v in w for x in g.support_neighbors(v)}
-    assert len(nbrs) < len(w)
-
-
-def test_hall_violator_rejects_non_crossing_side():
-    with pytest.raises(ValueError):
-        hall_violator(cycle_graph(3), side={0, 1})
-    with pytest.raises(ValueError):
-        hall_violator(path_graph(3), side={7})
+    assert not _hall_violator(g, u_side)
+    w = _hall_violator(g, v_side)
+    assert w and w <= v_side
+    _assert_violates_hall(g, w)
 
 
 def test_hall_violator_matches_saturation_semantics():
-    # None exactly when every maximum matching saturates the side
+    # empty exactly when every maximum matching saturates the side
     for i in range(120):
         rng = random.Random(derive_item_seed(207, i))
         p, q = rng.randint(1, 4), rng.randint(1, 4)
@@ -525,14 +527,13 @@ def test_hall_violator_matches_saturation_semantics():
                     g.add_edges(u, v, rng.randint(1, 2))
         g.freeze()
         side = set(range(p))
-        w = hall_violator(g, side)
-        enum = enumerate_maximum_matchings(g)
-        assert enum.exhaustive
+        w = _hall_violator(g, side)
+        found, stats = collect_maximum_matchings(g)
+        assert stats.exhaustive
         always_saturated = all(
-            all(m.saturates(v) for v in side) for m in enum.matchings
+            all(m.saturates(v) for v in side) for m in found
         )
-        assert (w is None) == always_saturated
-        if w is not None:
-            assert w and w <= side
-            nbrs = {x for v in w for x in g.support_neighbors(v)}
-            assert len(nbrs) < len(w)
+        assert (not w) == always_saturated
+        if w:
+            assert w <= side
+            _assert_violates_hall(g, w)

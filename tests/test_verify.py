@@ -2,46 +2,37 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
-import matchex.verify as verify_mod
 from matchex import (
     DEFAULT_CAP,
-    GallaiEdmonds,
     HubClass,
     Matching,
     MatchingWitness,
     Multigraph,
     PairMode,
     StrongCertificate,
-    SubcubicGuaranteeError,
     Verdict,
-    VerificationReport,
     WeakCertificate,
-    all_maximum_matchings_saturate,
     analyze,
     build_B,
     build_F,
     build_G,
     build_H,
-    check_subcubic_guarantee,
     conjecture_holds,
-    deficiency,
     hub_classes_from_labels,
     is_counterexample,
-    matching_number,
+    maximum_matching,
     strong_counterexample_certificate,
     weak_counterexample_certificate,
 )
 from matchex.verify import METHOD_CERTIFICATE, METHOD_ENUMERATION, METHOD_SHORT_CIRCUIT
 
 from conftest import (
+    collect_maximum_matchings,
     complete_graph,
     cycle_graph,
     disjoint_triangles,
-    path_graph,
     petersen_graph,
     random_graph_corpus,
 )
@@ -137,8 +128,6 @@ def test_cap_validation():
         conjecture_holds(cycle_graph(4), cap=0)
     with pytest.raises(ValueError):
         is_counterexample(cycle_graph(4), PairMode.SOME_PAIR, cap=-1)
-    with pytest.raises(ValueError):
-        all_maximum_matchings_saturate(cycle_graph(4), [0], cap=0)
 
 
 # -------------------------------------------------------- is_counterexample
@@ -351,80 +340,52 @@ def test_hub_classes_from_labels_absent():
      petersen_graph(), complete_bipartite(3, 3)],
 )
 def test_subcubic_guarantee_holds(g):
-    report = check_subcubic_guarantee(g)
+    # degrees 2 and 3 provably satisfy the property
+    assert 2 <= g.min_degree() <= g.max_degree() <= 3
+    report = conjecture_holds(g)
     assert report.verdict is Verdict.HOLDS
 
 
-def test_subcubic_guarantee_preconditions():
-    with pytest.raises(ValueError):
-        check_subcubic_guarantee(Multigraph(0).freeze())
-    with pytest.raises(ValueError):
-        check_subcubic_guarantee(path_graph(3))  # endpoints have degree 1
-    with pytest.raises(ValueError):
-        check_subcubic_guarantee(complete_graph(5))  # degree 4
-    g = Multigraph(5)
-    for v in range(4):
-        g.add_edges(v, (v + 1) % 4, 1)
-    with pytest.raises(ValueError):
-        check_subcubic_guarantee(g.freeze())  # isolated fifth vertex
-
-
-def test_subcubic_guarantee_raises_on_contradiction(monkeypatch):
-    bogus = VerificationReport(verdict=Verdict.COUNTEREXAMPLE, method=METHOD_CERTIFICATE)
-    monkeypatch.setattr(verify_mod, "conjecture_holds", lambda g, cap: bogus)
-    with pytest.raises(SubcubicGuaranteeError) as exc:
-        check_subcubic_guarantee(cycle_graph(4))
-    assert exc.value.report is bogus
-
-
 # ------------------------------------------------------------- saturation
+#
+# Every maximum matching saturates s exactly when s avoids the
+# Gallai-Edmonds D set; each test also enumerates every maximum matching.
+
+
+def _exposing_matchings(g, s):
+    """The maximum matchings of g that leave some vertex of s exposed."""
+    found, stats = collect_maximum_matchings(g)
+    assert stats.exhaustive
+    return [m for m in found if m.unsaturated(frozenset(s))]
 
 
 def test_saturate_B2_sides():
     g = build_B(2)
-    up = all_maximum_matchings_saturate(g, range(6))
-    assert up.verdict is Verdict.HOLDS
-    assert up.method == METHOD_CERTIFICATE
-    down = all_maximum_matchings_saturate(g, range(6, 14))
-    assert down.verdict is Verdict.COUNTEREXAMPLE
-    w = down.witness
-    assert isinstance(w, MatchingWitness)
-    assert w.matching.size() == matching_number(g)
-    assert set(w.exposed) & set(range(6, 14))
+    d = analyze(g).ge.d
+    assert not set(range(6)) & d
+    assert not _exposing_matchings(g, range(6))
+    down = set(range(6, 14))
+    assert down & d
+    m = _exposing_matchings(g, down)[0]
+    assert len(m) == len(maximum_matching(g))
 
 
 def test_saturate_G3_hubs():
     g = build_G(3)
-    assert all_maximum_matchings_saturate(g, [0, 1, 2]).verdict is Verdict.HOLDS
-    assert all_maximum_matchings_saturate(g, [3]).verdict is Verdict.COUNTEREXAMPLE
+    d = analyze(g).ge.d
+    assert not {0, 1, 2} & d
+    assert not _exposing_matchings(g, [0, 1, 2])
+    assert 3 in d
+    assert _exposing_matchings(g, [3])
 
 
 def test_saturate_empty_set_and_validation():
-    assert all_maximum_matchings_saturate(cycle_graph(5), []).verdict is Verdict.HOLDS
-    with pytest.raises(ValueError):
-        all_maximum_matchings_saturate(cycle_graph(5), [9])
-
-
-def test_saturate_witness_without_enumeration_hit():
-    # cap 1 sees only the matching exposing vertex 0; the verdict for {4}
-    # still carries a genuine exposing matching
+    # every vertex of C5 is exposable, and the empty set avoids them all
     g = cycle_graph(5)
-    report = all_maximum_matchings_saturate(g, [4], cap=1)
-    assert report.verdict is Verdict.COUNTEREXAMPLE
-    assert not report.exhaustive
-    w = report.witness
-    assert isinstance(w, MatchingWitness)
-    assert 4 in w.exposed
-    assert w.matching.size() == 2
-    w.matching.validate_in(g)
-
-
-def test_saturate_crosscheck_raises_on_bad_decomposition(monkeypatch):
-    fake = GallaiEdmonds(d=frozenset({0}), a=frozenset(), c=frozenset({1, 2, 3}))
-    monkeypatch.setattr(verify_mod, "analyze",
-                        lambda g: dataclasses.replace(analyze(g), ge=fake))
-    with pytest.raises(RuntimeError):
-        all_maximum_matchings_saturate(cycle_graph(4), [0])
+    assert analyze(g).ge.d == frozenset(range(5))
+    assert not _exposing_matchings(g, [])
+    for v in range(5):
+        assert _exposing_matchings(g, [v])
 
 
 # ------------------------------------------------------- global properties
@@ -441,10 +402,10 @@ def test_verdict_duality_on_corpus():
         ap = is_counterexample(g, PairMode.ALL_PAIRS, cap=10**6)
         if ap.verdict is Verdict.COUNTEREXAMPLE:
             assert sp.verdict is Verdict.COUNTEREXAMPLE
-            assert deficiency(g) >= 2
+            assert analyze(g).deficiency >= 2
         if ch.verdict is Verdict.HOLDS and ch.method == METHOD_ENUMERATION:
             w = ch.witness
-            assert w.matching.size() == matching_number(g)
+            assert len(w.matching) == len(maximum_matching(g))
             for i, a in enumerate(w.exposed):
                 for b in w.exposed[i + 1:]:
                     assert not g.common_neighbors(a, b)
