@@ -185,7 +185,7 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     highlight: frozenset[int] = frozenset()
     if args.mark_exposed:
         highlight = maximum_matching(g).unsaturated(frozenset(range(g.n)))
-    sys.stdout.write(export_dot(g, highlight=highlight))
+    export_dot(g, sys.stdout, highlight=highlight)
     return EXIT_OK
 
 

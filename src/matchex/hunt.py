@@ -6,6 +6,10 @@ loop or, for simple graphs, the first repeated pair.  Each item of a hunt
 re-derives its own RNG seed from (config.seed, index) with a fixed 64-bit
 mixing function, so results do not depend on execution order and a hunt
 can be split across worker processes without changing its output.
+
+An accepted pairing is counted into (u, v) -> multiplicity bundles and
+handed to `Multigraph.from_bundles` in one call, which validates every
+bundle and builds the frozen graph the per-bundle `add_edges` calls would.
 """
 
 from __future__ import annotations
@@ -104,10 +108,7 @@ def random_regular_graph(n: int, degree: int, seed: int, *,
             for u, v in zip(stubs[0::2], stubs[1::2]):
                 key = (u, v) if u < v else (v, u)
                 counts[key] = counts.get(key, 0) + 1
-            g = Multigraph(n)
-            for (u, v), m in sorted(counts.items()):
-                g.add_edges(u, v, m)
-            return g.freeze()
+            return Multigraph.from_bundles(n, counts)
     raise GenerationError(
         f"no acceptable {degree}-regular pairing on {n} vertices "
         f"in {max_retries} attempts")

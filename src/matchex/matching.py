@@ -98,16 +98,21 @@ class Matching:
         return f"Matching({inner})"
 
 
-def _support_adj(g: Multigraph) -> list[tuple[int, ...]]:
-    return [tuple(sorted(g.support_neighbors(v))) for v in range(g.n)]
-
-
 # -- blossom augmentation ---------------------------------------------------
 #
 # Array-based augmenting search with cycle contraction, deterministic:
 # roots are tried in ascending id order and adjacency lists are sorted.
 # An `alive` mask lets callers delete vertices without rebuilding, and a
 # pre-seeded `match` array lets the enumerator reuse parent matchings.
+#
+# A contraction touches only the vertices it absorbs.  `members` maps each
+# base that heads a contracted blossom to the vertices it holds; a base
+# missing from it holds only itself, so a search starts with an empty dict
+# and no per-vertex setup.  `_contract` collects the bases on the cycle,
+# moves their members under the new base, and queues the ones not yet
+# flagged in ascending vertex order.  That is the order a scan over all n
+# vertices would queue them in, so every search visits vertices, and every
+# partner array comes out, exactly as with such a scan.
 
 
 def _augment_from(adj: list[tuple[int, ...]], alive: list[bool],
@@ -115,6 +120,7 @@ def _augment_from(adj: list[tuple[int, ...]], alive: list[bool],
     n = len(adj)
     p = [-1] * n
     base = list(range(n))
+    members: dict[int, list[int]] = {}
     used = [False] * n
     used[root] = True
     queue = deque((root,))
@@ -126,17 +132,7 @@ def _augment_from(adj: list[tuple[int, ...]], alive: list[bool],
             if base[v] == base[to] or match[v] == to:
                 continue
             if to == root or (match[to] != -1 and p[match[to]] != -1):
-                # odd cycle: contract the blossom at the stems' junction
-                cur = _lca(match, p, base, v, to)
-                in_blossom = [False] * n
-                _mark_path(match, p, base, in_blossom, v, cur, to)
-                _mark_path(match, p, base, in_blossom, to, cur, v)
-                for i in range(n):
-                    if in_blossom[base[i]]:
-                        base[i] = cur
-                        if not used[i]:
-                            used[i] = True
-                            queue.append(i)
+                _contract(match, p, base, members, used, queue, v, to)
             elif p[to] == -1:
                 p[to] = v
                 if match[to] == -1:
@@ -151,6 +147,35 @@ def _augment_from(adj: list[tuple[int, ...]], alive: list[bool],
                 used[match[to]] = True
                 queue.append(match[to])
     return False
+
+
+def _contract(match: list[int], p: list[int], base: list[int],
+              members: dict[int, list[int]], flagged: list[bool],
+              queue: deque[int], v: int, to: int) -> None:
+    """Contract the odd cycle closed by the edge v-to into one blossom whose
+    base is the stems' junction; flag and queue, ascending, the absorbed
+    vertices not flagged yet."""
+    cur = _lca(match, p, base, v, to)
+    marked: set[int] = set()
+    _mark_path(match, p, base, marked, v, cur, to)
+    _mark_path(match, p, base, marked, to, cur, v)
+    # cur is outer, and its blossom's members were flagged when it formed
+    marked.discard(cur)
+    into = members.get(cur)
+    if into is None:
+        into = members[cur] = [cur]
+    fresh = []
+    for b in marked:
+        group = members.pop(b, None) or [b]
+        for i in group:
+            base[i] = cur
+            if not flagged[i]:
+                fresh.append(i)
+        into.extend(group)
+    fresh.sort()
+    for i in fresh:
+        flagged[i] = True
+    queue.extend(fresh)
 
 
 def _lca(match: list[int], p: list[int], base: list[int], a: int, b: int) -> int:
@@ -169,10 +194,10 @@ def _lca(match: list[int], p: list[int], base: list[int], a: int, b: int) -> int
 
 
 def _mark_path(match: list[int], p: list[int], base: list[int],
-               in_blossom: list[bool], v: int, stop: int, child: int) -> None:
+               marked: set[int], v: int, stop: int, child: int) -> None:
     while base[v] != stop:
-        in_blossom[base[v]] = True
-        in_blossom[base[match[v]]] = True
+        marked.add(base[v])
+        marked.add(base[match[v]])
         p[v] = child
         child = match[v]
         v = p[match[v]]
@@ -212,7 +237,7 @@ def _matching_from(match: list[int]) -> Matching:
 
 def maximum_matching(g: Multigraph) -> Matching:
     """One maximum matching, deterministic for a fixed graph."""
-    return _matching_from(_solve_matching(_support_adj(g)))
+    return _matching_from(_solve_matching(g.support_adjacency()))
 
 
 # -- exhaustive enumeration -------------------------------------------------
@@ -257,7 +282,7 @@ def visit_maximum_matchings(analysis: MatchingAnalysis,
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     n = analysis.g.n
-    adj = _support_adj(analysis.g)
+    adj = analysis.g.support_adjacency()
     alive = [True] * n
     is_alive = alive.__getitem__
     chosen: list[tuple[int, int]] = []
@@ -380,10 +405,11 @@ def analyze(g: Multigraph) -> MatchingAnalysis:
     raises: the matching was not maximum.
     """
     n = g.n
-    adj = _support_adj(g)
+    adj = g.support_adjacency()
     match = _solve_matching(adj)
     p = [-1] * n
     base = list(range(n))
+    members: dict[int, list[int]] = {}
     outer = [False] * n
     tree = [-1] * n  # exposed root of the tree a reached vertex belongs to
     queue: deque[int] = deque()
@@ -406,16 +432,7 @@ def analyze(g: Multigraph) -> MatchingAnalysis:
                         f"alternating forest joins the trees of exposed vertices "
                         f"{tree[v]} and {tree[to]}: the matching is not maximum; "
                         "matching implementation is buggy")
-                cur = _lca(match, p, base, v, to)
-                in_blossom = [False] * n
-                _mark_path(match, p, base, in_blossom, v, cur, to)
-                _mark_path(match, p, base, in_blossom, to, cur, v)
-                for i in range(n):
-                    if in_blossom[base[i]]:
-                        base[i] = cur
-                        if not outer[i]:
-                            outer[i] = True
-                            queue.append(i)
+                _contract(match, p, base, members, outer, queue, v, to)
             elif p[to] == -1:
                 p[to] = v
                 mate = match[to]

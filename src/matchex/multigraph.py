@@ -3,18 +3,20 @@
 Vertices are dense 0-based ids.  Parallel edges between two vertices are
 stored once, as an unordered bundle with a multiplicity count; adjacency
 queries ("support" queries) ignore multiplicities.  Graphs are built by
-mutation, then frozen; everything else in this package treats a frozen
-graph as immutable.
+mutation, then frozen, or from a bundle map in one validated call
+(`Multigraph.from_bundles`); everything else in this package treats a
+frozen graph as immutable.
 
 The module also owns the MGF text format (parse/serialize) and a DOT
-export that repeats each bundle once per multiplicity unit.
+export that repeats each bundle once per multiplicity unit, written to a
+stream as it goes.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, TextIO, Union
 
 HUB_NAMES = ("x", "y", "z")
 
@@ -133,6 +135,26 @@ class Multigraph:
         self._adj[v][u] = self._adj[v].get(u, 0) + multiplicity
         return self
 
+    @classmethod
+    def from_bundles(cls, n: int, bundles: Mapping[tuple[int, int], int]) -> "Multigraph":
+        """Frozen graph on n vertices with one bundle of multiplicity m per
+        entry (u, v) -> m of `bundles`.
+
+        Each entry must satisfy 0 <= u < v < n and m >= 1, the checks of
+        `add_edges`; bundles are inserted in ascending (u, v) order, so the
+        graph equals the one ascending `add_edges` calls would build.
+        """
+        g = cls(n)
+        adj = g._adj
+        for (u, v), m in sorted(bundles.items()):
+            if not (0 <= u < v < n and m >= 1):
+                raise ValueError(
+                    f"bundle {u}-{v} of multiplicity {m} needs 0 <= u < v < {n} "
+                    "and multiplicity >= 1")
+            adj[u][v] = m
+            adj[v][u] = m
+        return g.freeze()
+
     def set_label(self, v: int, label: VertexLabel) -> "Multigraph":
         """Attach a label to v.  Labels are injective within a graph."""
         self._check_mutable()
@@ -192,6 +214,10 @@ class Multigraph:
         """Distinct neighbors of v, multiplicities ignored."""
         self._check_vertex(v)
         return set(self._adj[v])
+
+    def support_adjacency(self) -> list[tuple[int, ...]]:
+        """Distinct neighbors of every vertex, ascending, indexed by vertex."""
+        return [tuple(sorted(nbrs)) for nbrs in self._adj]
 
     def support_degree(self, v: int) -> int:
         self._check_vertex(v)
@@ -480,23 +506,32 @@ def parse_mgf(text: str) -> Multigraph:
     return g.freeze()
 
 
-def export_dot(g: Multigraph, highlight: Iterable[int] = ()) -> str:
-    """DOT text with one edge repeated per multiplicity unit.
+# Edge lines of one bundle are written this many at a time, so the memory
+# the DOT export holds stays bounded whatever the multiplicity.
+_DOT_EDGE_CHUNK = 1024
+
+
+def export_dot(g: Multigraph, out: TextIO, highlight: Iterable[int] = ()) -> None:
+    """Write DOT text to `out`, with one edge repeated per multiplicity unit.
 
     Vertices in `highlight` are drawn filled; callers typically pass the
-    exposed set of a maximum matching.
+    exposed set of a maximum matching.  Lines are written as they are
+    made, so memory does not grow with the multiplicities.
     """
     marked = set(highlight)
     for v in marked:
         g._check_vertex(v)
-    lines = ["graph multigraph {"]
+    out.write("graph multigraph {\n")
     for v in range(g.n):
         attrs = [f'label="{g.label(v)}"']
         if v in marked:
             attrs.append("style=filled")
             attrs.append("fillcolor=gray")
-        lines.append(f"  {v} [{', '.join(attrs)}];")
+        out.write(f"  {v} [{', '.join(attrs)}];\n")
     for u, v, m in g.bundles():
-        lines.extend(f"  {u} -- {v};" for _ in range(m))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        line = f"  {u} -- {v};\n"
+        while m > 0:
+            k = min(m, _DOT_EDGE_CHUNK)
+            out.write(line * k)
+            m -= k
+    out.write("}\n")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from typing import Callable, Optional
 
 from hypothesis import HealthCheck, settings
@@ -22,7 +23,6 @@ from matchex.matching import (
     _augment_from,
     _match_size,
     _solve_matching,
-    _support_adj,
 )
 
 settings.register_profile(
@@ -200,7 +200,7 @@ def brute_force_matching_number(g: Multigraph) -> int:
         if len(current) > best:
             best = len(current)
 
-    _for_each_matching(_support_adj(g), g.n, emit)
+    _for_each_matching(g.support_adjacency(), g.n, emit)
     return best
 
 
@@ -218,7 +218,7 @@ def brute_force_all_maximum_matchings(g: Multigraph) -> set[Matching]:
         if len(current) == best:
             found.add(frozenset(current))
 
-    _for_each_matching(_support_adj(g), g.n, emit)
+    _for_each_matching(g.support_adjacency(), g.n, emit)
     return {Matching(edges) for edges in found}
 
 
@@ -226,7 +226,7 @@ def deletion_gallai_edmonds(g: Multigraph) -> GallaiEdmonds:
     """Reference decomposition by the deletion oracle: v is in D iff
     deleting v leaves the matching number unchanged (n+1 blossom solves)."""
     n = g.n
-    adj = _support_adj(g)
+    adj = g.support_adjacency()
     nu = _match_size(_solve_matching(adj))
     d: set[int] = set()
     alive = [True] * n
@@ -238,6 +238,150 @@ def deletion_gallai_edmonds(g: Multigraph) -> GallaiEdmonds:
     a = {w for v in d for w in adj[v]} - d
     c = set(range(n)) - d - a
     return GallaiEdmonds(d=frozenset(d), a=frozenset(a), c=frozenset(c))
+
+
+# -- full-scan blossom oracle ------------------------------------------------
+#
+# The augmenting search and the alternating forest as they were before
+# contraction kept per-base member lists, kept verbatim: each contraction
+# marks the cycle's bases in an n-entry list and rescans all n vertices.
+# Quadratic on large odd graphs, so keep it to the sizes the tests use.
+
+
+def _full_scan_lca(match: list[int], p: list[int], base: list[int], a: int, b: int) -> int:
+    seen = set()
+    while True:
+        a = base[a]
+        seen.add(a)
+        if match[a] == -1:
+            break
+        a = p[match[a]]
+    while True:
+        b = base[b]
+        if b in seen:
+            return b
+        b = p[match[b]]
+
+
+def _full_scan_mark_path(match: list[int], p: list[int], base: list[int],
+                         in_blossom: list[bool], v: int, stop: int, child: int) -> None:
+    while base[v] != stop:
+        in_blossom[base[v]] = True
+        in_blossom[base[match[v]]] = True
+        p[v] = child
+        child = match[v]
+        v = p[match[v]]
+
+
+def _full_scan_augment_from(adj: list[tuple[int, ...]], alive: list[bool],
+                            match: list[int], root: int) -> bool:
+    n = len(adj)
+    p = [-1] * n
+    base = list(range(n))
+    used = [False] * n
+    used[root] = True
+    queue = deque((root,))
+    while queue:
+        v = queue.popleft()
+        for to in adj[v]:
+            if not alive[to]:
+                continue
+            if base[v] == base[to] or match[v] == to:
+                continue
+            if to == root or (match[to] != -1 and p[match[to]] != -1):
+                # odd cycle: contract the blossom at the stems' junction
+                cur = _full_scan_lca(match, p, base, v, to)
+                in_blossom = [False] * n
+                _full_scan_mark_path(match, p, base, in_blossom, v, cur, to)
+                _full_scan_mark_path(match, p, base, in_blossom, to, cur, v)
+                for i in range(n):
+                    if in_blossom[base[i]]:
+                        base[i] = cur
+                        if not used[i]:
+                            used[i] = True
+                            queue.append(i)
+            elif p[to] == -1:
+                p[to] = v
+                if match[to] == -1:
+                    u = to
+                    while u != -1:
+                        pv = p[u]
+                        ppv = match[pv]
+                        match[u] = pv
+                        match[pv] = u
+                        u = ppv
+                    return True
+                used[match[to]] = True
+                queue.append(match[to])
+    return False
+
+
+def full_scan_solve_matching(adj: list[tuple[int, ...]],
+                             alive: Optional[list[bool]] = None) -> list[int]:
+    """Partner array of `_solve_matching` (greedy warm start, then one
+    search per exposed root, ascending) with full-scan contraction."""
+    n = len(adj)
+    if alive is None:
+        alive = [True] * n
+    match = [-1] * n
+    for v in range(n):  # greedy warm start
+        if alive[v] and match[v] == -1:
+            for w in adj[v]:
+                if alive[w] and match[w] == -1:
+                    match[v] = w
+                    match[w] = v
+                    break
+    for root in range(n):
+        if alive[root] and match[root] == -1:
+            _full_scan_augment_from(adj, alive, match, root)
+    return match
+
+
+def full_scan_analyze(g: Multigraph) -> tuple[list[int], int, GallaiEdmonds]:
+    """Partner array, deficiency and D/A/C that `analyze` derives, from
+    `full_scan_solve_matching` and the full-scan alternating forest."""
+    n = g.n
+    adj = g.support_adjacency()
+    match = full_scan_solve_matching(adj)
+    p = [-1] * n
+    base = list(range(n))
+    outer = [False] * n
+    tree = [-1] * n  # exposed root of the tree a reached vertex belongs to
+    queue: deque[int] = deque()
+    for v in range(n):
+        if match[v] == -1:
+            outer[v] = True
+            tree[v] = v
+            queue.append(v)
+    while queue:
+        v = queue.popleft()
+        for to in adj[v]:
+            if base[v] == base[to] or match[v] == to:
+                continue
+            if outer[to]:
+                if tree[to] != tree[v]:
+                    raise RuntimeError("full-scan forest joins two trees")
+                cur = _full_scan_lca(match, p, base, v, to)
+                in_blossom = [False] * n
+                _full_scan_mark_path(match, p, base, in_blossom, v, cur, to)
+                _full_scan_mark_path(match, p, base, in_blossom, to, cur, v)
+                for i in range(n):
+                    if in_blossom[base[i]]:
+                        base[i] = cur
+                        if not outer[i]:
+                            outer[i] = True
+                            queue.append(i)
+            elif p[to] == -1:
+                p[to] = v
+                mate = match[to]
+                tree[to] = tree[mate] = tree[v]
+                outer[mate] = True
+                queue.append(mate)
+    d = {v for v in range(n) if outer[v]}
+    a = {w for v in d for w in adj[v]} - d
+    c = set(range(n)) - d - a
+    return match, n - 2 * _match_size(match), GallaiEdmonds(
+        d=frozenset(d), a=frozenset(a), c=frozenset(c))
 
 
 def reference_visit_maximum_matchings(
@@ -258,7 +402,7 @@ def reference_visit_maximum_matchings(
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     n = g.n
-    adj = _support_adj(g)
+    adj = g.support_adjacency()
     base = _solve_matching(adj)
     target = _match_size(base)
     alive = [True] * n

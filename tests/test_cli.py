@@ -7,6 +7,7 @@ import hashlib
 import io
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -445,6 +446,39 @@ def test_export_dot_mark_exposed(capsys, monkeypatch):
                            stdin_text=serialize_mgf(build_B(2)))
     assert code == EXIT_OK
     assert out.count("style=filled") == 2  # deficiency of B(2)
+
+
+def test_export_dot_memory_does_not_grow_with_multiplicity(tmp_path, monkeypatch):
+    # edge lines go out as they are made; holding one string per
+    # multiplicity unit would peak above 10 MB here
+    mult = 200_000
+    path = tmp_path / "heavy.mgf"
+    path.write_text(f"mgf 2\n0 1 {mult}\n", encoding="utf-8")
+
+    class Sink:
+        def __init__(self):
+            self.digest = hashlib.sha256()
+
+        def write(self, text):
+            self.digest.update(text.encode("utf-8"))
+            return len(text)
+
+        def flush(self):
+            pass
+
+    sink = Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["export-dot", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    expected = ('graph multigraph {\n  0 [label="0"];\n  1 [label="1"];\n'
+                + "  0 -- 1;\n" * mult + "}\n")
+    assert sink.digest.hexdigest() == hashlib.sha256(expected.encode("utf-8")).hexdigest()
+    assert peak < 1_000_000, f"export-dot peaked at {peak} bytes"
 
 
 # ------------------------------------------------------------------ parsing

@@ -27,6 +27,7 @@ from matchex import (
     hunt,
     parse_mgf,
     random_regular_graph,
+    serialize_mgf,
 )
 from matchex.verify import METHOD_CERTIFICATE
 
@@ -77,6 +78,34 @@ def test_random_regular_multigraph_mode():
         assert all(g.degree(v) == 3 for v in range(4))
         assert all(u != v for u, v, _ in g.bundles())
     assert any(m > 1 for g in draws for _, _, m in g.bundles())
+
+
+@pytest.mark.parametrize(
+    "n, d, simple", [(10, 3, True), (40, 3, False), (9, 4, True), (41, 4, False),
+                     (250, 4, False), (20, 5, True), (30, 5, False)])
+def test_random_regular_bulk_build_equals_add_edges(monkeypatch, n, d, simple):
+    # the sampler hands its bundle counts to one validated bulk call; the
+    # same counts added one ascending add_edges call at a time give the
+    # same graph, bundles, MGF bytes and neighbor order
+    counts_seen = []
+
+    class Recording(Multigraph):
+        @classmethod
+        def from_bundles(cls, n, bundles):
+            counts_seen.append(dict(bundles))
+            return Multigraph.from_bundles(n, bundles)
+
+    monkeypatch.setattr(hunt_mod, "Multigraph", Recording)
+    for seed in range(5):
+        g = random_regular_graph(n, d, seed, simple_only=simple)
+        h = Multigraph(n)
+        for (u, v), m in sorted(counts_seen.pop().items()):
+            h.add_edges(u, v, m)
+        h.freeze()
+        assert g == h
+        assert list(g.bundles()) == list(h.bundles())
+        assert serialize_mgf(g) == serialize_mgf(h)
+        assert [list(nb.items()) for nb in g._adj] == [list(nb.items()) for nb in h._adj]
 
 
 def test_random_regular_degenerate_cases():

@@ -23,6 +23,7 @@ from matchex import (
     build_H,
     derive_item_seed,
     maximum_matching,
+    random_regular_graph,
     tutte_berge_witness,
     visit_maximum_matchings,
 )
@@ -37,6 +38,8 @@ from conftest import (
     cycle_graph,
     deletion_gallai_edmonds,
     disjoint_triangles,
+    full_scan_analyze,
+    full_scan_solve_matching,
     path_graph,
     petersen_graph,
     random_graph_corpus,
@@ -329,6 +332,64 @@ def test_property_enumerator_matches_reference(g, cap, stop_after):
     _assert_same_as_reference(g, stop_after=stop_after)
 
 
+# ------------------------------------------------ full-scan contraction oracle
+
+
+def _assert_same_as_full_scan(g):
+    """Partner array of the solve, and the matching, deficiency and D/A/C
+    of `analyze`, equal those of the full-scan reference."""
+    ref_match, ref_deficiency, ref_ge = full_scan_analyze(g)
+    assert matching_mod._solve_matching(g.support_adjacency()) == ref_match
+    analysis = analyze(g)
+    assert analysis.matching.sorted_edges() == tuple(
+        (v, w) for v, w in enumerate(ref_match) if v < w)
+    assert analysis.deficiency == ref_deficiency
+    assert analysis.ge == ref_ge
+
+
+def test_contraction_matches_full_scan_on_acceptance_corpus():
+    corpus = random_graph_corpus(seed=CORPUS_SEED, count=500,
+                                 max_n=12, max_support_edges=32)
+    for g in corpus:
+        _assert_same_as_full_scan(g)
+        # one deleted vertex at a time: the masked searches of the enumerator
+        adj = g.support_adjacency()
+        alive = [True] * g.n
+        for v in range(g.n):
+            alive[v] = False
+            assert (matching_mod._solve_matching(adj, alive)
+                    == full_scan_solve_matching(adj, alive))
+            alive[v] = True
+
+
+@given(small_multigraphs())
+def test_property_contraction_matches_full_scan(g):
+    _assert_same_as_full_scan(g)
+
+
+@pytest.mark.parametrize(
+    "build, r",
+    [*((build_B, r) for r in range(2, 7)), *((build_G, r) for r in range(3, 9)),
+     *((build_H, r) for r in range(3, 9)), *((build_F, r) for r in range(5, 12))],
+)
+def test_contraction_matches_full_scan_on_families(build, r):
+    _assert_same_as_full_scan(build(r))
+
+
+def test_contraction_matches_full_scan_on_sampled_regular_graphs():
+    # d 3-5, simple and multigraph; odd n only where d is even
+    kinds = set()
+    for i in range(300):
+        rng = random.Random(derive_item_seed(0xB10550, i))
+        degree = rng.choice((3, 4, 5))
+        simple = rng.random() < 0.5
+        n = rng.choice([n for n in range(degree + 1, 121) if n * degree % 2 == 0])
+        g = random_regular_graph(n, degree, rng.getrandbits(63), simple_only=simple)
+        _assert_same_as_full_scan(g)
+        kinds.add((degree, simple, n % 2))
+    assert len(kinds) == 8  # every (degree, simple) pair, and both parities at d 4
+
+
 # ---------------------------------------------------------- Gallai-Edmonds
 
 
@@ -415,6 +476,18 @@ def test_gallai_edmonds_B12_closed_form():
     assert ge.d == frozenset(range(2 * r * r - r, g.n))
     assert ge.a == frozenset(range(2 * r * r - r))
     assert ge.c == frozenset()
+
+
+def test_analyze_large_odd_regular_multigraph():
+    # a contraction costs the vertices it absorbs; a rescan of all n
+    # vertices per blossom made this quadratic (about 3 s at n = 8001)
+    g = random_regular_graph(20001, 4, 7, simple_only=False)
+    start = time.perf_counter()
+    analysis = analyze(g)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, f"analyze took {elapsed:.2f}s on n={g.n}"
+    assert analysis.deficiency == 1
+    assert analysis.ge.d == frozenset(range(g.n))
 
 
 def test_gallai_edmonds_long_path():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import itertools
 import random
 
@@ -124,6 +125,33 @@ def test_freeze_blocks_mutation():
         g.add_edges(0, 1)
     with pytest.raises(ValueError):
         g.set_label(0, Hub("x"))
+
+
+def test_from_bundles_builds_frozen_graph_in_ascending_order():
+    bundles = {(2, 3): 1, (0, 3): 2, (0, 1): 1}
+    g = Multigraph.from_bundles(4, bundles)
+    assert g.frozen
+    with pytest.raises(ValueError):
+        g.add_edges(0, 1)
+    h = Multigraph(4)
+    for (u, v), m in sorted(bundles.items()):
+        h.add_edges(u, v, m)
+    assert g == h.freeze()
+    assert list(g.bundles()) == [(0, 1, 1), (0, 3, 2), (2, 3, 1)]
+    # neighbors are inserted as ascending add_edges calls insert them
+    assert [list(d.items()) for d in g._adj] == [list(d.items()) for d in h._adj]
+    assert Multigraph.from_bundles(3, {}) == Multigraph(3)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [((1, 1), 1), ((0, 3), 1), ((-1, 1), 1), ((2, 1), 1), ((0, 1), 0), ((0, 1), -2)],
+    ids=["loop", "out-of-range", "negative", "unordered", "multiplicity-0",
+         "multiplicity-negative"],
+)
+def test_from_bundles_rejects_bad_bundle(bad):
+    with pytest.raises(ValueError):
+        Multigraph.from_bundles(3, {(0, 2): 1, bad[0]: bad[1]})
 
 
 def test_add_edges_accumulates():
@@ -466,12 +494,18 @@ def test_handshake_and_symmetry(g):
 # ------------------------------------------------------------------- DOT
 
 
+def _dot_text(g, highlight=()):
+    out = io.StringIO()
+    export_dot(g, out, highlight=highlight)
+    return out.getvalue()
+
+
 def test_export_dot_repeats_multiplicity():
     g = Multigraph(3)
     g.add_edges(0, 1, 3)
     g.add_edges(1, 2, 1)
     g.set_label(0, Hub("x"))
-    dot = export_dot(g.freeze())
+    dot = _dot_text(g.freeze())
     assert dot.count("0 -- 1;") == 3
     assert dot.count("1 -- 2;") == 1
     assert 'label="x"' in dot
@@ -480,7 +514,9 @@ def test_export_dot_repeats_multiplicity():
 
 def test_export_dot_highlight():
     g = path_graph(3)
-    dot = export_dot(g, highlight=[0, 2])
+    dot = _dot_text(g, highlight=[0, 2])
     assert dot.count("style=filled") == 2
+    out = io.StringIO()
     with pytest.raises(ValueError):
-        export_dot(g, highlight=[5])
+        export_dot(g, out, highlight=[5])
+    assert out.getvalue() == ""  # rejected before anything is written
