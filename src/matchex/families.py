@@ -1,8 +1,8 @@
 """Counterexample family constructions B, G, H and F.
 
-Each builder returns a frozen, labeled Multigraph with a documented vertex
-id layout, so graphs serialize identically across runs and vertices can be
-addressed symbolically through their labels.
+Each builder returns a labeled Multigraph, built in one constructor call,
+with a documented vertex id layout, so graphs serialize identically across
+runs and vertices can be addressed symbolically through their labels.
 
 Family overview (r is the size parameter):
 
@@ -117,24 +117,18 @@ def build_B(r: int) -> Multigraph:
     spec = FamilySpec("B", r)
     pairs = [(i, j) for i in range(1, 2 * r + 1) for j in range(i + 1, 2 * r + 1)]
     n_pairs = len(pairs)
-    g = Multigraph(n_pairs + 2 * r * r)
-    pair_id = {}
-    for idx, (i, j) in enumerate(pairs):
-        pair_id[(i, j)] = idx
-        g.set_label(idx, Pair(i, j))
 
     def copy_id(i: int, k: int) -> int:
         return n_pairs + (i - 1) * r + (k - 1)
 
-    for i in range(1, 2 * r + 1):
-        for k in range(1, r + 1):
-            g.set_label(copy_id(i, k), Copy(k, i))
-    for (i, j), u in pair_id.items():
-        for k in range(1, r + 1):
-            g.add_edges(u, copy_id(i, k), 1)
-            g.add_edges(u, copy_id(j, k), 1)
+    labels = {u: Pair(i, j) for u, (i, j) in enumerate(pairs)}
+    labels.update((copy_id(i, k), Copy(k, i))
+                  for i in range(1, 2 * r + 1) for k in range(1, r + 1))
+    bundles = {(u, copy_id(i, k)): 1
+               for u, pair in enumerate(pairs) for i in pair for k in range(1, r + 1)}
+    g = Multigraph(n_pairs + 2 * r * r, bundles, labels)
     assert g.n == expected_stats(spec).vertex_count
-    return g.freeze()
+    return g
 
 
 def _hub_triangle_graph(blocks: int, triangle_mult: tuple[int, int, int],
@@ -146,23 +140,22 @@ def _hub_triangle_graph(blocks: int, triangle_mult: tuple[int, int, int],
     (v3,v1) bundles; `hub_edges` lists (hub id, k) attachments, one simple
     edge from the hub to v_k of every block.
     """
-    g = Multigraph(3 + 3 * blocks)
-    for hub_id, name in enumerate("xyz"):
-        g.set_label(hub_id, Hub(name))
+    labels = {hub_id: Hub(name) for hub_id, name in enumerate("xyz")}
+    bundles = {}
 
     def vid(i: int, k: int) -> int:
         return 3 + 3 * (i - 1) + (k - 1)
 
+    m12, m23, m31 = triangle_mult
     for i in range(1, blocks + 1):
         for k in (1, 2, 3):
-            g.set_label(vid(i, k), Copy(k, i))
+            labels[vid(i, k)] = Copy(k, i)
         for hub_id, k in hub_edges:
-            g.add_edges(hub_id, vid(i, k), 1)
-        m12, m23, m31 = triangle_mult
-        g.add_edges(vid(i, 1), vid(i, 2), m12)
-        g.add_edges(vid(i, 2), vid(i, 3), m23)
-        g.add_edges(vid(i, 3), vid(i, 1), m31)
-    return g.freeze()
+            bundles[hub_id, vid(i, k)] = 1
+        bundles[vid(i, 1), vid(i, 2)] = m12
+        bundles[vid(i, 2), vid(i, 3)] = m23
+        bundles[vid(i, 1), vid(i, 3)] = m31
+    return Multigraph(3 + 3 * blocks, bundles, labels)
 
 
 def build_G(r: int) -> Multigraph:

@@ -8,8 +8,8 @@ mixing function, so results do not depend on execution order and a hunt
 can be split across worker processes without changing its output.
 
 An accepted pairing is counted into (u, v) -> multiplicity bundles and
-handed to `Multigraph.from_bundles` in one call, which validates every
-bundle and builds the frozen graph the per-bundle `add_edges` calls would.
+handed to the `Multigraph` constructor in one call, which validates every
+bundle.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def random_regular_graph(n: int, degree: int, seed: int, *,
         raise ValueError(f"max_retries must be >= 1, got {max_retries}")
     rng = random.Random(seed)
     if n == 0 or degree == 0:
-        return Multigraph(n).freeze()
+        return Multigraph(n)
     stubs = [v for v in range(n) for _ in range(degree)]
     last = len(stubs) - 1
     # stub i draws its partner j uniformly from [i+1, last] by rejection on
@@ -108,7 +108,7 @@ def random_regular_graph(n: int, degree: int, seed: int, *,
             for u, v in zip(stubs[0::2], stubs[1::2]):
                 key = (u, v) if u < v else (v, u)
                 counts[key] = counts.get(key, 0) + 1
-            return Multigraph.from_bundles(n, counts)
+            return Multigraph(n, counts)
     raise GenerationError(
         f"no acceptable {degree}-regular pairing on {n} vertices "
         f"in {max_retries} attempts")
@@ -182,10 +182,6 @@ class HuntSummary:
     @property
     def counterexamples(self) -> tuple[HuntItem, ...]:
         return tuple(it for it in self.items if it.mgf is not None)
-
-    @property
-    def item_seeds(self) -> tuple[int, ...]:
-        return tuple(it.seed for it in self.items)
 
 
 def _run_item(config: HuntConfig, index: int) -> HuntItem:

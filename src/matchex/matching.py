@@ -70,9 +70,6 @@ class Matching:
     def saturates(self, v: int) -> bool:
         return v in self._partner
 
-    def partner(self, v: int) -> Optional[int]:
-        return self._partner.get(v)
-
     def unsaturated(self, vertices: frozenset[int]) -> frozenset[int]:
         """The members of `vertices` that the matching leaves exposed."""
         return vertices.difference(self._partner)

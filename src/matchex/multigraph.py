@@ -2,10 +2,9 @@
 
 Vertices are dense 0-based ids.  Parallel edges between two vertices are
 stored once, as an unordered bundle with a multiplicity count; adjacency
-queries ("support" queries) ignore multiplicities.  Graphs are built by
-mutation, then frozen, or from a bundle map in one validated call
-(`Multigraph.from_bundles`); everything else in this package treats a
-frozen graph as immutable.
+queries ("support" queries) ignore multiplicities.  A graph is built in
+one validated constructor call, from a bundle map and a label map, and is
+immutable from then on.
 
 The module also owns the MGF text format (parse/serialize) and a DOT
 export that repeats each bundle once per multiplicity unit, written to a
@@ -16,13 +15,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, TextIO, Union
 
 HUB_NAMES = ("x", "y", "z")
 
-# Largest vertex count an MGF header may declare.  The parser allocates one
-# adjacency dict per vertex before it reads any bundle, so an unchecked
-# header would let a one-line input allocate without bound.
+# Largest vertex count an MGF header may declare.  The parsed graph holds
+# one adjacency dict per vertex, bundles or not, so an unchecked header
+# would let a one-line input allocate without bound.
 MGF_MAX_VERTICES = 1_000_000
 
 
@@ -101,99 +101,75 @@ class BiregularClassification:
     side_b: tuple[int, ...]
 
 
+_EMPTY: Mapping = MappingProxyType({})
+
+
+def _check_vertex_id(v: int, n: int) -> None:
+    if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < n):
+        raise ValueError(f"vertex id {v} out of range [0, {n})")
+
+
+def _check_bundle(u: int, v: int, m: int, n: int) -> None:
+    """Reject (u, v) -> m as a bundle of a graph on n vertices unless
+    0 <= u < v < n and m >= 1."""
+    if u == v:
+        raise ValueError(f"loop edge {u}-{v} not allowed")
+    if u > v:
+        raise ValueError(f"bundle must satisfy u < v, got {u} {v}")
+    if u < 0 or v >= n or type(u) is not int or type(v) is not int:
+        # the inline test spares two calls per bundle line in parse_mgf;
+        # these name the end out of range, u first
+        _check_vertex_id(u, n)
+        _check_vertex_id(v, n)
+    if m < 1:
+        raise ValueError(f"multiplicity must be >= 1, got {m}")
+
+
 class Multigraph:
-    """Undirected loop-free multigraph on vertices 0..n-1."""
+    """Undirected loop-free multigraph on vertices 0..n-1, immutable."""
 
-    __slots__ = ("_n", "_adj", "_labels", "_label_to_id", "_frozen")
+    __slots__ = ("_n", "_adj", "_labels", "_label_to_id")
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, bundles: Mapping[tuple[int, int], int] = _EMPTY,
+                 labels: Mapping[int, VertexLabel] = _EMPTY):
+        """Graph with one bundle of multiplicity m per entry (u, v) -> m of
+        `bundles` and the label `labels[v]` on each vertex v it names.
+
+        Each bundle needs 0 <= u < v < n and m >= 1.  Labels must be
+        injective and sit on vertex ids in range; Plain(v) is the default
+        label of v, allowed only on v and not stored.
+        """
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
         self._n = n
         # neighbor -> bundle multiplicity, kept symmetric
         self._adj: list[dict[int, int]] = [dict() for _ in range(n)]
-        self._labels: dict[int, VertexLabel] = {}
-        self._label_to_id: dict[VertexLabel, int] = {}
-        self._frozen = False
-
-    # -- construction ------------------------------------------------
-
-    def add_edges(self, u: int, v: int, multiplicity: int = 1) -> "Multigraph":
-        """Add `multiplicity` parallel edges between u and v.
-
-        Loops (u == v) are rejected; repeated calls accumulate onto the
-        same bundle.
-        """
-        self._check_mutable()
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if u == v:
-            raise ValueError(f"loop edge {u}-{v} not allowed")
-        if multiplicity < 1:
-            raise ValueError(f"multiplicity must be >= 1, got {multiplicity}")
-        self._adj[u][v] = self._adj[u].get(v, 0) + multiplicity
-        self._adj[v][u] = self._adj[v].get(u, 0) + multiplicity
-        return self
-
-    @classmethod
-    def from_bundles(cls, n: int, bundles: Mapping[tuple[int, int], int]) -> "Multigraph":
-        """Frozen graph on n vertices with one bundle of multiplicity m per
-        entry (u, v) -> m of `bundles`.
-
-        Each entry must satisfy 0 <= u < v < n and m >= 1, the checks of
-        `add_edges`; bundles are inserted in ascending (u, v) order, so the
-        graph equals the one ascending `add_edges` calls would build.
-        """
-        g = cls(n)
-        adj = g._adj
-        for (u, v), m in sorted(bundles.items()):
-            if not (0 <= u < v < n and m >= 1):
-                raise ValueError(
-                    f"bundle {u}-{v} of multiplicity {m} needs 0 <= u < v < {n} "
-                    "and multiplicity >= 1")
+        adj = self._adj
+        for (u, v), m in bundles.items():
+            _check_bundle(u, v, m, n)
             adj[u][v] = m
             adj[v][u] = m
-        return g.freeze()
-
-    def set_label(self, v: int, label: VertexLabel) -> "Multigraph":
-        """Attach a label to v.  Labels are injective within a graph."""
-        self._check_mutable()
-        self._check_vertex(v)
-        if isinstance(label, Plain):
-            if label.index != v:
-                raise ValueError(f"plain label {label.index} does not match vertex {v}")
-            return self  # implicit default, nothing to store
-        other = self._label_to_id.get(label)
-        if other is not None and other != v:
-            raise ValueError(f"label {label} already used by vertex {other}")
-        old = self._labels.get(v)
-        if old is not None:
-            del self._label_to_id[old]
-        self._labels[v] = label
-        self._label_to_id[label] = v
-        return self
-
-    def freeze(self) -> "Multigraph":
-        self._frozen = True
-        return self
-
-    def _check_mutable(self) -> None:
-        if self._frozen:
-            raise ValueError("graph is frozen")
+        self._labels: dict[int, VertexLabel] = {}
+        self._label_to_id: dict[VertexLabel, int] = {}
+        for v, label in labels.items():
+            _check_vertex_id(v, n)
+            if isinstance(label, Plain):
+                if label.index != v:
+                    raise ValueError(f"plain label {label.index} does not match vertex {v}")
+                continue
+            other = self._label_to_id.setdefault(label, v)
+            if other != v:
+                raise ValueError(f"label {label} already used by vertex {other}")
+            self._labels[v] = label
 
     def _check_vertex(self, v: int) -> None:
-        if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < self._n):
-            raise ValueError(f"vertex id {v} out of range [0, {self._n})")
+        _check_vertex_id(v, self._n)
 
     # -- basic queries -----------------------------------------------
 
     @property
     def n(self) -> int:
         return self._n
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
 
     def degree(self, v: int) -> int:
         """Weighted degree: every parallel edge counts."""
@@ -218,10 +194,6 @@ class Multigraph:
     def support_adjacency(self) -> list[tuple[int, ...]]:
         """Distinct neighbors of every vertex, ascending, indexed by vertex."""
         return [tuple(sorted(nbrs)) for nbrs in self._adj]
-
-    def support_degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return len(self._adj[v])
 
     def common_neighbors(self, u: int, v: int) -> set[int]:
         self._check_vertex(u)
@@ -302,12 +274,7 @@ class Multigraph:
 
     def support_graph(self) -> "Multigraph":
         """Copy with every bundle multiplicity collapsed to 1."""
-        g = Multigraph(self._n)
-        for u, v, _ in self.bundles():
-            g.add_edges(u, v, 1)
-        for v, lab in self._labels.items():
-            g.set_label(v, lab)
-        return g.freeze()
+        return Multigraph(self._n, {(u, v): 1 for u, v, _ in self.bundles()}, self._labels)
 
     def classify_biregular_bipartite(self) -> Optional[BiregularClassification]:
         """Classify as (a, b)-biregular bipartite if possible.
@@ -447,22 +414,24 @@ def _parse_label_tokens(tokens: list[str], line_no: int) -> tuple[int, VertexLab
 
 
 def parse_mgf(text: str) -> Multigraph:
-    """Parse MGF text into a frozen Multigraph.
+    """Parse MGF text into a Multigraph.
 
     Grammar: line 1 is `mgf <n>` with 0 <= n <= MGF_MAX_VERTICES; optional
-    `# label <id> ...` lines follow; then one `<u> <v> <multiplicity>` line
-    per bundle with u < v and each unordered pair appearing at most once.
-    Blank lines are ignored.  Errors carry the offending line number.
+    `# label <id> ...` lines follow, a later one for the same id replacing
+    the earlier; then one `<u> <v> <multiplicity>` line per bundle with
+    u < v and each unordered pair appearing at most once.  Blank lines are
+    ignored.  Errors carry the offending line number.
     """
-    g: Optional[Multigraph] = None
-    seen_bundle = False
-    seen_pairs: set[tuple[int, int]] = set()
+    n: Optional[int] = None
+    bundles: dict[tuple[int, int], int] = {}
+    labels: dict[int, VertexLabel] = {}
+    label_to_id: dict[VertexLabel, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         tokens = line.split()
-        if g is None:
+        if n is None:
             if tokens[0] != "mgf" or len(tokens) != 2:
                 raise MGFParseError(line_no, "expected header `mgf <n>`")
             n = _parse_int(tokens[1], line_no, "vertex count")
@@ -471,39 +440,39 @@ def parse_mgf(text: str) -> Multigraph:
             if n > MGF_MAX_VERTICES:
                 raise MGFParseError(
                     line_no, f"vertex count must be <= {MGF_MAX_VERTICES}, got {n}")
-            g = Multigraph(n)
             continue
         if tokens[0] == "#":
             if len(tokens) < 2 or tokens[1] != "label":
                 raise MGFParseError(line_no, "unrecognized directive; only `# label ...` allowed")
-            if seen_bundle:
+            if bundles:
                 raise MGFParseError(line_no, "label line after bundle data")
             vid, label = _parse_label_tokens(tokens[1:], line_no)
             try:
-                g.set_label(vid, label)
+                _check_vertex_id(vid, n)
             except ValueError as exc:
                 raise MGFParseError(line_no, str(exc)) from None
+            other = label_to_id.get(label)
+            if other is not None and other != vid:
+                raise MGFParseError(line_no, f"label {label} already used by vertex {other}")
+            label_to_id.pop(labels.get(vid), None)
+            labels[vid] = label
+            label_to_id[label] = vid
             continue
         if len(tokens) != 3:
             raise MGFParseError(line_no, "expected bundle line `<u> <v> <multiplicity>`")
         u = _parse_int(tokens[0], line_no, "vertex id")
         v = _parse_int(tokens[1], line_no, "vertex id")
         m = _parse_int(tokens[2], line_no, "multiplicity")
-        if u >= v:
-            if u == v:
-                raise MGFParseError(line_no, f"loop edge {u}-{v} not allowed")
-            raise MGFParseError(line_no, f"bundle must satisfy u < v, got {u} {v}")
-        if (u, v) in seen_pairs:
+        if (u, v) in bundles:
             raise MGFParseError(line_no, f"duplicate bundle {u}-{v}")
-        seen_pairs.add((u, v))
         try:
-            g.add_edges(u, v, m)
+            _check_bundle(u, v, m, n)
         except ValueError as exc:
             raise MGFParseError(line_no, str(exc)) from None
-        seen_bundle = True
-    if g is None:
+        bundles[u, v] = m
+    if n is None:
         raise MGFParseError(1, "empty input, expected header `mgf <n>`")
-    return g.freeze()
+    return Multigraph(n, bundles, labels)
 
 
 # Edge lines of one bundle are written this many at a time, so the memory

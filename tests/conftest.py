@@ -49,66 +49,59 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+def graph_from_edges(n: int, edges) -> Multigraph:
+    """Graph on n vertices from (u, v) or (u, v, m) edges, m defaulting to 1:
+    ends in either order, repeats of a pair adding up onto one bundle."""
+    bundles: dict[tuple[int, int], int] = {}
+    for u, v, *m in edges:
+        key = (u, v) if u < v else (v, u)
+        bundles[key] = bundles.get(key, 0) + (m[0] if m else 1)
+    return Multigraph(n, bundles)
+
+
+def strip_labels(g: Multigraph) -> Multigraph:
+    """g with its labels dropped."""
+    return Multigraph(g.n, {(u, v): m for u, v, m in g.bundles()})
+
+
 def path_graph(k: int) -> Multigraph:
-    g = Multigraph(k)
-    for v in range(k - 1):
-        g.add_edges(v, v + 1, 1)
-    return g.freeze()
+    return graph_from_edges(k, ((v, v + 1) for v in range(k - 1)))
 
 
 def cycle_graph(k: int) -> Multigraph:
-    g = Multigraph(k)
-    for v in range(k):
-        g.add_edges(v, (v + 1) % k, 1)
-    return g.freeze()
+    return graph_from_edges(k, ((v, (v + 1) % k) for v in range(k)))
 
 
 def complete_graph(k: int) -> Multigraph:
-    g = Multigraph(k)
-    for u in range(k):
-        for v in range(u + 1, k):
-            g.add_edges(u, v, 1)
-    return g.freeze()
+    return graph_from_edges(k, itertools.combinations(range(k), 2))
 
 
 def star_graph(leaves: int) -> Multigraph:
-    g = Multigraph(leaves + 1)
-    for v in range(1, leaves + 1):
-        g.add_edges(0, v, 1)
-    return g.freeze()
+    return graph_from_edges(leaves + 1, ((0, v) for v in range(1, leaves + 1)))
 
 
 def petersen_graph() -> Multigraph:
-    g = Multigraph(10)
     outer = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5, 7), (7, 9), (9, 6), (6, 8), (8, 5)]
-    for u, v in outer + spokes + inner:
-        g.add_edges(u, v, 1)
-    return g.freeze()
+    return graph_from_edges(10, outer + spokes + inner)
 
 
 def disjoint_triangles(count: int) -> Multigraph:
-    g = Multigraph(3 * count)
-    for t in range(count):
-        base = 3 * t
-        g.add_edges(base, base + 1, 1)
-        g.add_edges(base + 1, base + 2, 1)
-        g.add_edges(base, base + 2, 1)
-    return g.freeze()
+    return graph_from_edges(3 * count, (
+        e for b in range(0, 3 * count, 3) for e in ((b, b + 1), (b + 1, b + 2), (b, b + 2))))
 
 
 def random_multigraph(rng: random.Random, max_n: int = 12,
                       max_support_edges: int = 32, max_mult: int = 3) -> Multigraph:
     """Random loop-free multigraph within the brute-force oracle guard."""
     n = rng.randint(1, max_n)
-    g = Multigraph(n)
     possible = list(itertools.combinations(range(n), 2))
+    edges = []
     if possible:
         m = rng.randint(0, min(max_support_edges, len(possible)))
-        for u, v in rng.sample(possible, m):
-            g.add_edges(u, v, rng.randint(1, max_mult))
-    return g.freeze()
+        edges = [(u, v, rng.randint(1, max_mult)) for u, v in rng.sample(possible, m)]
+    return graph_from_edges(n, edges)
 
 
 def random_graph_corpus(seed: int, count: int, **kwargs) -> list[Multigraph]:
@@ -139,10 +132,7 @@ def random_subcubic_connected(rng: random.Random, n_min: int = 4,
                 pairs.add((min(u, v), max(u, v)))
             if not ok:
                 continue
-            g = Multigraph(n)
-            for u, v in sorted(pairs):
-                g.add_edges(u, v, 1)
-            g.freeze()
+            g = graph_from_edges(n, pairs)
             if g.is_connected():
                 return g
 

@@ -36,7 +36,14 @@ from matchex.cli import (
     main,
 )
 
-from conftest import cycle_graph, path_graph, random_graph_corpus, star_graph
+from conftest import (
+    cycle_graph,
+    graph_from_edges,
+    path_graph,
+    random_graph_corpus,
+    star_graph,
+    strip_labels,
+)
 
 
 def run_cli(argv, capsys, monkeypatch=None, stdin_text=None):
@@ -48,13 +55,7 @@ def run_cli(argv, capsys, monkeypatch=None, stdin_text=None):
 
 
 def unlabeled_G3_mgf() -> str:
-    from matchex import Multigraph
-
-    g = build_G(3)
-    bare = Multigraph(g.n)
-    for u, v, m in g.bundles():
-        bare.add_edges(u, v, m)
-    return serialize_mgf(bare.freeze())
+    return serialize_mgf(strip_labels(build_G(3)))
 
 
 # -------------------------------------------------------------------- build
@@ -76,6 +77,24 @@ def test_build_to_file(tmp_path, capsys):
     assert target.read_text(encoding="utf-8") == serialize_mgf(build_G(3))
     assert out.startswith("family=G r=3 ")
     assert err == ""
+
+
+# sha256 of repr((family, r, stdout, stderr)) over `build` of B2-B10, G3-G8,
+# G12-G40 every 4th, H3-H20 and F5-F60, all to stdout
+BUILD_OUTPUT_SHA256 = "5e9769dda379842b9404e29b84f258de26e81a08b2d528fbde9c33582a077b31"
+
+
+def test_build_outputs_pinned(capsys):
+    members = ([("B", r) for r in range(2, 11)]
+               + [("G", r) for r in [*range(3, 9), *range(12, 41, 4)]]
+               + [("H", r) for r in range(3, 21)]
+               + [("F", r) for r in range(5, 61)])
+    digest = hashlib.sha256()
+    for family, r in members:
+        code, out, err = run_cli(["build", "--family", family, "--r", str(r)], capsys)
+        assert code == EXIT_OK
+        digest.update(repr((family, r, out, err)).encode("utf-8"))
+    assert digest.hexdigest() == BUILD_OUTPUT_SHA256
 
 
 def test_build_rejects_small_r(capsys):
@@ -191,14 +210,10 @@ def test_verify_parse_error(capsys, monkeypatch):
 
 def two_paths_file(tmp_path, length: int):
     """Two disjoint paths on `length` vertices each, as an MGF file."""
-    from matchex import Multigraph
-
-    g = Multigraph(2 * length)
-    for start in (0, length):
-        for v in range(start, start + length - 1):
-            g.add_edges(v, v + 1, 1)
+    g = graph_from_edges(2 * length, ((v, v + 1) for start in (0, length)
+                                      for v in range(start, start + length - 1)))
     target = tmp_path / "two_paths.mgf"
-    target.write_text(serialize_mgf(g.freeze()), encoding="utf-8")
+    target.write_text(serialize_mgf(g), encoding="utf-8")
     return target
 
 

@@ -164,11 +164,3 @@ def test_build_family_dispatch():
     assert build_family(FamilySpec("G", 3)) == build_G(3)
     assert build_family(FamilySpec("H", 3)) == build_H(3)
     assert build_family(FamilySpec("F", 5)) == build_F(5)
-
-
-def test_frozen_outputs():
-    for spec in (FamilySpec(f, r) for f, r in (("B", 2), ("G", 3), ("H", 3), ("F", 5))):
-        g = build_family(spec)
-        assert g.frozen
-        with pytest.raises(ValueError):
-            g.add_edges(0, 1)

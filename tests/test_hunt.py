@@ -31,7 +31,7 @@ from matchex import (
 )
 from matchex.verify import METHOD_CERTIFICATE
 
-from conftest import complete_graph, cycle_graph
+from conftest import complete_graph, cycle_graph, graph_from_edges
 
 # ------------------------------------------------------------ seed mixing
 
@@ -84,28 +84,24 @@ def test_random_regular_multigraph_mode():
     "n, d, simple", [(10, 3, True), (40, 3, False), (9, 4, True), (41, 4, False),
                      (250, 4, False), (20, 5, True), (30, 5, False)])
 def test_random_regular_bulk_build_equals_add_edges(monkeypatch, n, d, simple):
-    # the sampler hands its bundle counts to one validated bulk call; the
-    # same counts added one ascending add_edges call at a time give the
-    # same graph, bundles, MGF bytes and neighbor order
+    # the sampler hands its bundle counts to one validated constructor
+    # call; the same edges added up one at a time, ends reversed, give the
+    # same graph, bundles and MGF bytes
     counts_seen = []
 
-    class Recording(Multigraph):
-        @classmethod
-        def from_bundles(cls, n, bundles):
-            counts_seen.append(dict(bundles))
-            return Multigraph.from_bundles(n, bundles)
+    def recording(n, bundles):
+        counts_seen.append(dict(bundles))
+        return Multigraph(n, bundles)
 
-    monkeypatch.setattr(hunt_mod, "Multigraph", Recording)
+    monkeypatch.setattr(hunt_mod, "Multigraph", recording)
     for seed in range(5):
         g = random_regular_graph(n, d, seed, simple_only=simple)
-        h = Multigraph(n)
-        for (u, v), m in sorted(counts_seen.pop().items()):
-            h.add_edges(u, v, m)
-        h.freeze()
+        counts = counts_seen.pop()
+        assert sum(counts.values()) == n * d // 2
+        h = graph_from_edges(n, [(v, u) for (u, v), m in counts.items() for _ in range(m)])
         assert g == h
         assert list(g.bundles()) == list(h.bundles())
         assert serialize_mgf(g) == serialize_mgf(h)
-        assert [list(nb.items()) for nb in g._adj] == [list(nb.items()) for nb in h._adj]
 
 
 def test_random_regular_degenerate_cases():
@@ -172,10 +168,7 @@ def test_random_regular_simple_is_uniform():
     cubic = set()
     for edges in itertools.combinations(itertools.combinations(range(6), 2), 9):
         if all(sum(v in e for e in edges) == 3 for v in range(6)):
-            g = Multigraph(6)
-            for u, v in edges:
-                g.add_edges(u, v)
-            cubic.add(tuple(g.bundles()))
+            cubic.add(tuple(graph_from_edges(6, edges).bundles()))
     assert len(cubic) == 70
     draws = [tuple(random_regular_graph(6, 3, seed=s).bundles()) for s in range(14000)]
     assert _chi_square(draws, dict.fromkeys(cubic, 1)) < 111.06
@@ -188,10 +181,7 @@ def test_random_regular_multigraph_follows_configuration_model():
     weights: Counter = Counter()
     for pairing in _stub_pairings([v for v in range(4) for _ in range(3)]):
         if all(u != v for u, v in pairing):
-            g = Multigraph(4)
-            for u, v in pairing:
-                g.add_edges(u, v)
-            weights[tuple(g.bundles())] += 1
+            weights[tuple(graph_from_edges(4, pairing).bundles())] += 1
     assert len(weights) == 10
     for key, w in weights.items():
         assert w * math.prod(math.factorial(m) for _, _, m in key) == 6 ** 4
@@ -257,7 +247,7 @@ def test_hunt_deterministic_and_order_independent():
 def test_hunt_item_seeds_follow_derivation():
     cfg = HuntConfig(degree=3, n_min=8, n_max=10, count=7, seed=42)
     summary = hunt(cfg)
-    assert summary.item_seeds == tuple(derive_item_seed(42, i) for i in range(7))
+    assert [it.seed for it in summary.items] == [derive_item_seed(42, i) for i in range(7)]
     assert [it.index for it in summary.items] == list(range(7))
     assert all(it.n in cfg.feasible_sizes() for it in summary.items)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import itertools
 import random
@@ -26,10 +27,16 @@ from matchex import (
 )
 
 from conftest import (
+    CORPUS_SEED,
     complete_graph,
     cycle_graph,
+    disjoint_triangles,
+    graph_from_edges,
     path_graph,
+    petersen_graph,
+    random_graph_corpus,
     random_multigraph,
+    random_subcubic_connected,
     star_graph,
 )
 
@@ -58,39 +65,26 @@ def test_label_validation():
         Copy(1, 0)
 
 
-def test_set_label_injective_and_reassignable():
-    g = Multigraph(3)
-    g.set_label(0, Hub("x"))
-    with pytest.raises(ValueError):
-        g.set_label(1, Hub("x"))
-    g.set_label(0, Hub("x"))  # same vertex, same label: fine
-    g.set_label(0, Hub("y"))  # relabel frees the old value
-    g.set_label(1, Hub("x"))
-    assert g.label(0) == Hub("y")
-    assert g.vertex_with_label(Hub("x")) == 1
-
-
 def test_plain_labels_are_implicit():
-    g = Multigraph(2)
-    g.set_label(0, Plain(0))  # no-op
+    g = Multigraph(2, labels={0: Plain(0)})  # the default, not stored
     assert g.labeled_vertices() == []
+    assert g == Multigraph(2)
     assert g.label(1) == Plain(1)
     assert g.vertex_with_label(Plain(1)) == 1
     with pytest.raises(ValueError):
-        g.set_label(0, Plain(1))
+        Multigraph(2, labels={0: Plain(1)})
     with pytest.raises(KeyError):
         g.vertex_with_label(Plain(5))
 
 
 def test_vertex_with_label_missing():
-    g = Multigraph(2).freeze()
+    g = Multigraph(2)
     with pytest.raises(KeyError):
         g.vertex_with_label(Hub("x"))
 
 
 def test_plain_lookup_blocked_by_explicit_label():
-    g = Multigraph(2)
-    g.set_label(0, Hub("z"))
+    g = Multigraph(2, labels={0: Hub("z")})
     with pytest.raises(KeyError):
         g.vertex_with_label(Plain(0))
 
@@ -101,46 +95,16 @@ def test_plain_lookup_blocked_by_explicit_label():
 def test_construction_errors():
     with pytest.raises(ValueError):
         Multigraph(-1)
-    g = Multigraph(3)
-    with pytest.raises(ValueError):
-        g.add_edges(0, 0)
-    with pytest.raises(ValueError):
-        g.add_edges(0, 3)
-    with pytest.raises(ValueError):
-        g.add_edges(-1, 0)
-    with pytest.raises(ValueError):
-        g.add_edges(0, 1, 0)
-    with pytest.raises(ValueError):
-        g.add_edges(0, 1, -2)
-    with pytest.raises(ValueError):
-        g.add_edges(True, 1)  # bools are not vertex ids
-
-
-def test_freeze_blocks_mutation():
-    g = Multigraph(2)
-    g.add_edges(0, 1)
-    g.freeze()
-    assert g.frozen
-    with pytest.raises(ValueError):
-        g.add_edges(0, 1)
-    with pytest.raises(ValueError):
-        g.set_label(0, Hub("x"))
-
-
-def test_from_bundles_builds_frozen_graph_in_ascending_order():
-    bundles = {(2, 3): 1, (0, 3): 2, (0, 1): 1}
-    g = Multigraph.from_bundles(4, bundles)
-    assert g.frozen
-    with pytest.raises(ValueError):
-        g.add_edges(0, 1)
-    h = Multigraph(4)
-    for (u, v), m in sorted(bundles.items()):
-        h.add_edges(u, v, m)
-    assert g == h.freeze()
-    assert list(g.bundles()) == [(0, 1, 1), (0, 3, 2), (2, 3, 1)]
-    # neighbors are inserted as ascending add_edges calls insert them
-    assert [list(d.items()) for d in g._adj] == [list(d.items()) for d in h._adj]
-    assert Multigraph.from_bundles(3, {}) == Multigraph(3)
+    # bad bundle values: test_from_bundles_rejects_bad_bundle
+    for bundles, labels in [
+        ({(True, 2): 1}, {}),  # bools are not vertex ids
+        ({}, {3: Hub("x")}),
+        ({}, {-1: Hub("x")}),
+        ({}, {True: Hub("x")}),
+        ({}, {0: Hub("x"), 1: Hub("x")}),  # labels are injective
+    ]:
+        with pytest.raises(ValueError):
+            Multigraph(3, bundles, labels)
 
 
 @pytest.mark.parametrize(
@@ -150,32 +114,18 @@ def test_from_bundles_builds_frozen_graph_in_ascending_order():
          "multiplicity-negative"],
 )
 def test_from_bundles_rejects_bad_bundle(bad):
+    # the constructor rejects a bad bundle next to a good one
     with pytest.raises(ValueError):
-        Multigraph.from_bundles(3, {(0, 2): 1, bad[0]: bad[1]})
-
-
-def test_add_edges_accumulates():
-    g = Multigraph(2)
-    g.add_edges(0, 1, 2)
-    g.add_edges(1, 0, 3)
-    assert g.bundle_multiplicity(0, 1) == 5
-    assert g.bundle_multiplicity(1, 0) == 5
-    assert g.degree(0) == 5
-    assert g.support_degree(0) == 1
-    assert list(g.bundles()) == [(0, 1, 5)]
+        Multigraph(3, {(0, 2): 1, bad[0]: bad[1]})
 
 
 def test_degree_queries():
-    g = Multigraph(4)
-    g.add_edges(0, 1, 3)
-    g.add_edges(0, 2, 1)
-    g.freeze()
+    g = Multigraph(4, {(0, 1): 3, (0, 2): 1})
     assert g.degree(0) == 4
     assert g.degree(3) == 0
     assert g.max_degree() == 4
     assert g.min_degree() == 0
     assert g.support_neighbors(0) == {1, 2}
-    assert g.support_degree(0) == 2
     assert g.weighted_edge_count() == 4
     assert g.support_edge_count() == 2
     with pytest.raises(ValueError):
@@ -193,19 +143,13 @@ def test_common_neighbors():
 
 
 def test_bundles_sorted():
-    g = Multigraph(4)
-    g.add_edges(2, 3)
-    g.add_edges(0, 3, 2)
-    g.add_edges(0, 1)
+    g = Multigraph(4, {(2, 3): 1, (0, 3): 2, (0, 1): 1})
     assert list(g.bundles()) == [(0, 1, 1), (0, 3, 2), (2, 3, 1)]
     assert g.support_edges() == [(0, 1), (0, 3), (2, 3)]
 
 
 def test_components_and_connectivity():
-    g = Multigraph(5)
-    g.add_edges(0, 2)
-    g.add_edges(1, 3)
-    g.freeze()
+    g = Multigraph(5, {(0, 2): 1, (1, 3): 1})
     assert g.components() == [[0, 2], [1, 3], [4]]
     assert not g.is_connected()
     assert path_graph(4).is_connected()
@@ -214,30 +158,23 @@ def test_components_and_connectivity():
 
 
 def test_support_graph_collapses_multiplicities():
-    g = Multigraph(3)
-    g.add_edges(0, 1, 4)
-    g.add_edges(1, 2, 1)
-    g.set_label(0, Hub("x"))
+    g = Multigraph(3, {(0, 1): 4, (1, 2): 1}, {0: Hub("x")})
     s = g.support_graph()
-    assert s.frozen
     assert list(s.bundles()) == [(0, 1, 1), (1, 2, 1)]
     assert s.label(0) == Hub("x")
 
 
 def test_equality_sensitive_to_structure_and_labels():
-    a = Multigraph(2).add_edges(0, 1)
-    b = Multigraph(2).add_edges(0, 1)
-    assert a == b
-    b.set_label(0, Hub("x"))
-    assert a != b
+    a = Multigraph(2, {(0, 1): 1})
+    assert a == Multigraph(2, {(0, 1): 1})
+    assert a != Multigraph(2, {(0, 1): 1}, {0: Hub("x")})
     assert Multigraph(2) != Multigraph(3)
     assert Multigraph(2) != "not a graph"
-    c = Multigraph(2).add_edges(0, 1, 2)
-    assert a != c
+    assert a != Multigraph(2, {(0, 1): 2})
 
 
 def test_repr_mentions_counts():
-    g = Multigraph(3).add_edges(0, 1, 2)
+    g = Multigraph(3, {(0, 1): 2})
     assert "n=3" in repr(g)
     assert "edges=2" in repr(g)
 
@@ -268,7 +205,7 @@ def test_classify_rejects_non_bipartite_and_degenerate():
     assert cycle_graph(5).classify_biregular_bipartite() is None
     assert complete_graph(4).classify_biregular_bipartite() is None
     assert Multigraph(0).classify_biregular_bipartite() is None
-    assert Multigraph(3).freeze().classify_biregular_bipartite() is None
+    assert Multigraph(3).classify_biregular_bipartite() is None
 
 
 def test_classify_path4_nonuniform_sides():
@@ -277,7 +214,7 @@ def test_classify_path4_nonuniform_sides():
 
 
 def test_classify_counts_parallel_edges():
-    g = Multigraph(2).add_edges(0, 1, 3).freeze()
+    g = Multigraph(2, {(0, 1): 3})
     cls = g.classify_biregular_bipartite()
     assert cls == BiregularClassification(3, 3, (0,), (1,))
 
@@ -293,7 +230,7 @@ def test_classify_family_B2():
 def test_classify_edge_plus_isolated_has_no_reading():
     # K2 + K1: the isolated vertex would force degree 0 onto a side that
     # must also carry a degree-1 endpoint
-    g = Multigraph(3).add_edges(0, 1).freeze()
+    g = Multigraph(3, {(0, 1): 1})
     assert g.classify_biregular_bipartite() is None
 
 
@@ -350,12 +287,9 @@ def _assert_classification_valid(g: Multigraph, cls: BiregularClassification) ->
 def _random_bipartite(rng: random.Random) -> Multigraph:
     p = rng.randint(1, 5)
     q = rng.randint(1, 5)
-    g = Multigraph(p + q)
-    for u in range(p):
-        for v in range(p, p + q):
-            if rng.random() < 0.5:
-                g.add_edges(u, v, rng.randint(1, 2))
-    return g.freeze()
+    return graph_from_edges(p + q, [(u, v, rng.randint(1, 2))
+                                    for u in range(p) for v in range(p, p + q)
+                                    if rng.random() < 0.5])
 
 
 def test_classify_matches_exhaustive_oracle_on_corpus():
@@ -426,6 +360,9 @@ def test_mgf_vertex_only_graph():
         ("mgf 3\n0 1 1\n0 1 2\n", 3, "duplicate bundle"),
         ("mgf 3\n0 1 0\n", 2, "multiplicity"),
         ("mgf 3\n0 5 1\n", 2, "out of range"),
+        ("mgf 3\n4 5 1\n", 2, "vertex id 4"),
+        ("mgf 3\n-1 1 1\n", 2, "vertex id -1"),
+        ("mgf 3\n0 1 1\n0 1 0\n", 3, "duplicate bundle"),
         ("mgf 3\n0 q 1\n", 2, "integer"),
         ("mgf 3\n# comment here\n", 2, "directive"),
         ("mgf 3\n# label 0\n", 2, "too short"),
@@ -446,6 +383,11 @@ def test_mgf_parse_errors(text, line_no, needle):
     assert needle in str(exc.value)
 
 
+def test_mgf_later_label_line_replaces_earlier():
+    g = parse_mgf("mgf 2\n# label 0 hub x\n# label 0 hub y\n# label 1 hub x\n")
+    assert g.labeled_vertices() == [(0, Hub("y")), (1, Hub("x"))]
+
+
 _label_st = st.one_of(
     st.sampled_from([Hub("x"), Hub("y"), Hub("z")]),
     st.tuples(st.integers(1, 4), st.integers(1, 4))
@@ -458,20 +400,20 @@ _label_st = st.one_of(
 @st.composite
 def labeled_multigraphs(draw):
     n = draw(st.integers(0, 8))
-    g = Multigraph(n)
     pairs = list(itertools.combinations(range(n), 2))
+    bundles = {}
     if pairs:
-        for u, v in draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)):
-            g.add_edges(u, v, draw(st.integers(1, 4)))
+        bundles = {(u, v): draw(st.integers(1, 4))
+                   for u, v in draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12))}
+    labels = {}
     if n:
-        labels = draw(st.lists(_label_st, unique=True, max_size=min(n, 4)))
+        kinds = draw(st.lists(_label_st, unique=True, max_size=min(n, 4)))
         ids = draw(
             st.lists(st.integers(0, n - 1), unique=True,
-                     min_size=len(labels), max_size=len(labels))
+                     min_size=len(kinds), max_size=len(kinds))
         )
-        for v, lab in zip(ids, labels):
-            g.set_label(v, lab)
-    return g.freeze()
+        labels = dict(zip(ids, kinds))
+    return Multigraph(n, bundles, labels)
 
 
 @given(labeled_multigraphs())
@@ -501,11 +443,8 @@ def _dot_text(g, highlight=()):
 
 
 def test_export_dot_repeats_multiplicity():
-    g = Multigraph(3)
-    g.add_edges(0, 1, 3)
-    g.add_edges(1, 2, 1)
-    g.set_label(0, Hub("x"))
-    dot = _dot_text(g.freeze())
+    g = Multigraph(3, {(0, 1): 3, (1, 2): 1}, {0: Hub("x")})
+    dot = _dot_text(g)
     assert dot.count("0 -- 1;") == 3
     assert dot.count("1 -- 2;") == 1
     assert 'label="x"' in dot
@@ -520,3 +459,25 @@ def test_export_dot_highlight():
     with pytest.raises(ValueError):
         export_dot(g, out, highlight=[5])
     assert out.getvalue() == ""  # rejected before anything is written
+
+
+# ------------------------------------------------------------ test graphs
+
+# sha256 of serialize_mgf over the shared test graphs: the acceptance corpus,
+# the subcubic draws of criterion 10 (seed 1010) and the named small graphs.
+# A builder or seed that changes changes it, and with it what the suite tests.
+TEST_GRAPHS_SHA256 = "20fb5c39e4bb69a01dc8f7eabbd6b24bef213c3ef56964826328d7d65eaf03f7"
+
+
+def test_shared_test_graphs_pinned():
+    graphs = random_graph_corpus(seed=CORPUS_SEED, count=500, max_n=12, max_support_edges=32)
+    graphs += [random_subcubic_connected(random.Random(derive_item_seed(1010, i)),
+                                         n_min=4, n_max=12) for i in range(200)]
+    for k in range(7):
+        graphs += [path_graph(k), star_graph(k), complete_graph(k), disjoint_triangles(k)]
+    graphs += [cycle_graph(k) for k in range(3, 9)]
+    graphs.append(petersen_graph())
+    digest = hashlib.sha256()
+    for g in graphs:
+        digest.update(serialize_mgf(g).encode("utf-8"))
+    assert digest.hexdigest() == TEST_GRAPHS_SHA256

@@ -33,24 +33,15 @@ from conftest import (
     complete_graph,
     cycle_graph,
     disjoint_triangles,
+    graph_from_edges,
     petersen_graph,
     random_graph_corpus,
+    strip_labels,
 )
 
 
-def strip_labels(g: Multigraph) -> Multigraph:
-    bare = Multigraph(g.n)
-    for u, v, m in g.bundles():
-        bare.add_edges(u, v, m)
-    return bare.freeze()
-
-
 def complete_bipartite(p: int, q: int) -> Multigraph:
-    g = Multigraph(p + q)
-    for u in range(p):
-        for v in range(p, p + q):
-            g.add_edges(u, v, 1)
-    return g.freeze()
+    return graph_from_edges(p + q, ((u, v) for u in range(p) for v in range(p, p + q)))
 
 
 # --------------------------------------------------------- conjecture_holds
@@ -322,12 +313,7 @@ def test_hub_classes_from_labels_absent():
     assert hub_classes_from_labels(build_B(2)) is None  # no hub labels
     assert hub_classes_from_labels(cycle_graph(4)) is None  # no labels at all
     # hub present but one copy escapes its reach
-    g = Multigraph(3)
-    g.set_label(0, Hub("x"))
-    g.set_label(1, Copy(1, 1))
-    g.set_label(2, Copy(1, 2))
-    g.add_edges(0, 1, 1)
-    g.freeze()
+    g = Multigraph(3, {(0, 1): 1}, {0: Hub("x"), 1: Copy(1, 1), 2: Copy(1, 2)})
     assert hub_classes_from_labels(g) is None
 
 
