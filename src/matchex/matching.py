@@ -11,7 +11,9 @@ entry.  The module provides
 * `visit_maximum_matchings` - exhaustive enumeration of all maximum
   matchings of an analysed graph by branch-and-prune over an explicit
   stack, started from the analysis matching; each branch is checked by
-  single-root augmenting searches from the partners it frees only,
+  single-root augmenting searches from the partners it frees only, and
+  the matchings below a branch the caller marks settled are counted, not
+  visited,
 * `tutte_berge_witness` - a deficiency-attaining vertex set read off an
   analysis, verified against its deficiency before it is returned.
 """
@@ -254,7 +256,8 @@ class EnumerationStats:
 
 def visit_maximum_matchings(analysis: MatchingAnalysis,
                             visit: Callable[[Matching], Optional[bool]],
-                            cap: Optional[int] = None) -> EnumerationStats:
+                            cap: Optional[int] = None,
+                            settled: Optional[Callable[[int], bool]] = None) -> EnumerationStats:
     """Call `visit` on every maximum matching of the analysed graph g, in a
     fixed order.
 
@@ -275,6 +278,22 @@ def visit_maximum_matchings(analysis: MatchingAnalysis,
     decides feasibility exactly, and the walk starts from the analysis
     matching without solving again.  Since feasibility is exact, the order
     depends on g alone, not on which maximum matching it starts from.
+
+    `settled`, for callers inside the package, takes the bitmask of the
+    vertices a branch already leaves exposed: those it branched as exposed
+    and the live isolated vertices its vertex scan passed, which the scan
+    kills until it backtracks.  It must be monotone, and may hold only if
+    `visit` would return a true value, with no side effect, for every
+    maximum matching exposing that set.  Once one matching has been
+    delivered, the matchings below a settled branch, and each one on whose
+    whole exposed set `settled` holds, are counted instead of built and
+    visited.  After the scan every vertex below the branch vertex is
+    dead, so the live set alone fixes the subtree: all maximum matchings
+    of g[live], in a fixed order.  A settled subtree that is walked to the
+    end records its count under its live bitmask, and the next settled
+    branch with that live set adds the count without descending.  The cap
+    stays exact: a recorded count that would pass it ends the walk at the
+    cap.
     """
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
@@ -285,6 +304,7 @@ def visit_maximum_matchings(analysis: MatchingAnalysis,
     chosen: list[tuple[int, int]] = []
     partner: dict[int, int] = {}
     count = 0
+    memo: dict[int, int] = {}  # live bitmask -> maximum matchings below it
 
     def residual(hint: list[int], v: int, w: int) -> Optional[list[int]]:
         # Maximum matching of the live graph once v, and w when the branch
@@ -307,10 +327,23 @@ def visit_maximum_matchings(analysis: MatchingAnalysis,
                 return m2
         return None
 
-    # A frame [v, hint, remaining, j] is an inner node branching on v; its
-    # v-w branches resume at w = adj[v][j], and j > 0 means the branch to
-    # adj[v][j - 1] is the one being explored.  v stays dead while its frame
-    # is on the stack.
+    def branch() -> tuple[int, int, bool]:
+        # Live and exposed bitmasks of the branch being entered, and whether
+        # its parent was settled, read off the top frame.
+        if not stack:
+            return (1 << n) - 1, 0, False
+        v, _, _, j, _, (live, exposed, calm, _) = stack[-1]
+        if j:
+            return live ^ (1 << v) ^ (1 << adj[v][j - 1]), exposed, calm
+        return live ^ (1 << v), exposed | (1 << v), calm
+
+    # A frame [v, hint, remaining, j, isolated, marks] is an inner node
+    # branching on v; its v-w branches resume at w = adj[v][j], and j > 0
+    # means the branch to adj[v][j - 1] is the one being explored.  v and
+    # the `isolated` bitmask of vertices its scan killed stay dead while the
+    # frame is on the stack.  With a `settled` predicate, `marks` holds the
+    # node's live and exposed bitmasks, whether it is settled and the count
+    # when it was pushed.
     stack: list[list] = []
     hint = [-1] * n
     for u, v in analysis.matching.edges:
@@ -322,22 +355,50 @@ def visit_maximum_matchings(analysis: MatchingAnalysis,
             if cap is not None and count >= cap:
                 return EnumerationStats(count=count, exhaustive=False)
             count += 1
-            if visit(Matching._trusted(frozenset(chosen), partner.copy())) is False:
+            if settled is not None and count > 1:
+                live, exposed, calm = branch()
+                # the live vertices left are isolated, hence exposed too
+                skip = calm or settled(exposed | live)
+            else:
+                skip = False
+            if not skip and visit(Matching._trusted(frozenset(chosen), partner.copy())) is False:
                 return EnumerationStats(count=count, exhaustive=False)
         else:
-            # Vertices below the parent's v are dead or isolated, and stay so.
+            # Vertices below the parent's v are dead, and stay so.
             v = start
-            while not (alive[v] and any(map(is_alive, adj[v]))):
+            isolated = 0
+            while True:
+                if alive[v]:
+                    if any(map(is_alive, adj[v])):
+                        break
+                    alive[v] = False
+                    isolated |= 1 << v
                 v += 1
-            alive[v] = False
-            stack.append([v, hint, remaining, 0])
-            m2 = residual(hint, v, -1)
-            if m2 is not None:
-                hint, start = m2, v + 1
-                continue
+            known = marks = None
+            if settled is not None:
+                live, exposed, calm = branch()
+                live ^= isolated
+                exposed |= isolated
+                calm = calm or settled(exposed)
+                if calm and count:
+                    known = memo.get(live)
+                marks = (live, exposed, calm, count)
+            if known is None:
+                stack.append([v, hint, remaining, 0, isolated, marks])
+                alive[v] = False
+                m2 = residual(hint, v, -1)
+                if m2 is not None:
+                    hint, start = m2, v + 1
+                    continue
+            else:
+                if cap is not None and count + known > cap:
+                    # the walk would deliver cap - count of them, then stop
+                    return EnumerationStats(count=cap, exhaustive=False)
+                count += known
+                _revive(alive, isolated)
         while stack:
             frame = stack[-1]
-            v, hint, remaining, j = frame
+            v, hint, remaining, j, isolated, marks = frame
             nbrs = adj[v]
             if j:
                 w = nbrs[j - 1]
@@ -354,7 +415,11 @@ def visit_maximum_matchings(analysis: MatchingAnalysis,
                     alive[w] = True
             else:
                 alive[v] = True
+                if isolated:
+                    _revive(alive, isolated)
                 stack.pop()
+                if marks is not None and marks[2]:
+                    memo[marks[0]] = count - marks[3]
                 continue
             frame[3] = j + 1
             chosen.append((v, w) if v < w else (w, v))
@@ -364,6 +429,14 @@ def visit_maximum_matchings(analysis: MatchingAnalysis,
             break
         else:
             return EnumerationStats(count=count, exhaustive=True)
+
+
+def _revive(alive: list[bool], isolated: int) -> None:
+    """Mark alive again the vertices of the bitmask `isolated`."""
+    while isolated:
+        low = isolated & -isolated
+        alive[low.bit_length() - 1] = True
+        isolated ^= low
 
 
 # -- structure theory -------------------------------------------------------

@@ -15,8 +15,13 @@ certificates read off the analysis can prove a counterexample (the
 question runs them before enumerating, the refutation modes once
 enumeration hits its cap); enumeration of maximum matchings is exact but
 capped, and starts from the analysis matching, so every decision makes
-exactly one blossom solve.  Every outcome is wrapped in a
-VerificationReport that records which method actually decided.
+exactly one blossom solve.  The enumerator is told which partial exposed
+sets already fix the verdict: SomePair and the question once two exposed
+vertices share a neighbor, AllPairs from the root when every pair of D
+does.  The matchings below such a branch are counted, by live-set memo,
+not checked one by one; `matchings_examined` still counts every one of
+them.  Every outcome is wrapped in a VerificationReport that records which
+method actually decided.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .matching import Matching, MatchingAnalysis, analyze, visit_maximum_matchings
 from .multigraph import Copy, Hub, Multigraph
@@ -284,7 +289,8 @@ def _decide(g: Multigraph, mode: Optional[PairMode], cap: int,
                 sample.append(MatchingWitness(m, exposed, *hit))
         return True
 
-    stats = visit_maximum_matchings(analysis, check, cap=cap)
+    stats = visit_maximum_matchings(analysis, check, cap=cap,
+                                    settled=_settled_predicate(analysis, mode))
     if refuting:
         what = ("an exposed pair sharing no neighbor" if mode is PairMode.ALL_PAIRS
                 else "common-neighbor-free exposed set")
@@ -317,6 +323,43 @@ def _decide(g: Multigraph, mode: Optional[PairMode], cap: int,
     return VerificationReport(
         verdict=Verdict.INCONCLUSIVE, method=METHOD_ENUMERATION,
         matchings_examined=stats.count, exhaustive=False, detail=detail)
+
+
+def _settled_predicate(analysis: MatchingAnalysis,
+                       mode: Optional[PairMode]) -> Optional[Callable[[int], bool]]:
+    """The `settled` hook `_decide` hands the enumerator: true on an exposed
+    bitmask once `check` must accept every maximum matching exposing it.
+
+    A SomePair matching passes once two of its exposed vertices share a
+    neighbor, so the question and SomePair settle there.  An AllPairs
+    matching passes only when every exposed pair shares one, which no
+    partial exposed set shows; it is settled from the root when the strong
+    certificate holds (every pair of D shares one), and never otherwise.
+    """
+    if mode is PairMode.ALL_PAIRS:
+        if strong_counterexample_certificate(analysis) is None:
+            return None
+        return lambda exposed: True
+    g = analysis.g
+    # Support-neighbor bitmasks, built on first use: the walk may touch few
+    # of the vertices of D, and n masks of n bits would not fit for large n.
+    neighbors: dict[int, int] = {}
+
+    def shares(exposed: int) -> bool:
+        seen = 0  # the neighbors of the exposed vertices scanned so far
+        while exposed:
+            low = exposed & -exposed
+            v = low.bit_length() - 1
+            mask = neighbors.get(v)
+            if mask is None:
+                mask = neighbors[v] = sum(1 << w for w in g.support_neighbors(v))
+            if seen & mask:
+                return True
+            seen |= mask
+            exposed ^= low
+        return False
+
+    return shares
 
 
 def _certified(analysis: MatchingAnalysis, mode: Optional[PairMode],

@@ -9,6 +9,7 @@ from collections import deque
 from typing import Callable, Optional
 
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 from matchex import (
     GallaiEdmonds,
@@ -108,6 +109,29 @@ def random_graph_corpus(seed: int, count: int, **kwargs) -> list[Multigraph]:
     """Deterministic corpus: graph i is drawn from its own derived seed."""
     return [random_multigraph(random.Random(derive_item_seed(seed, i)), **kwargs)
             for i in range(count)]
+
+
+_small_graphs_pairs = st.integers(0, 7).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.sampled_from(list(itertools.combinations(range(n), 2))),
+            unique=True,
+            max_size=12,
+        )
+        if n >= 2
+        else st.just([]),
+        st.lists(st.integers(1, 3), min_size=12, max_size=12),
+    )
+)
+
+
+@st.composite
+def small_multigraphs(draw):
+    """Multigraphs on at most 7 vertices with at most 12 support edges of
+    multiplicity 1-3, for hypothesis."""
+    n, edges, mults = draw(_small_graphs_pairs)
+    return graph_from_edges(n, ((u, v, m) for (u, v), m in zip(edges, itertools.cycle(mults))))
 
 
 def random_subcubic_connected(rng: random.Random, n_min: int = 4,

@@ -303,6 +303,25 @@ def test_one_blossom_solve_per_short_circuit_hunt_item(monkeypatch):
     assert calls[0] == 1
 
 
+def test_enumerate_G3_searches_unchanged(capsys, monkeypatch):
+    # `enumerate` hands the walk no `settled` predicate: it visits every
+    # matching and makes as many single-root searches (the analysis solve
+    # included) as the walk did before settled subtrees could be counted.
+    searches = [0]
+    augment = matching_mod._augment_from
+
+    def counted(*args):
+        searches[0] += 1
+        return augment(*args)
+
+    monkeypatch.setattr(matching_mod, "_augment_from", counted)
+    code, out, _ = run_cli(["enumerate"], capsys, monkeypatch,
+                           stdin_text=serialize_mgf(build_G(3)))
+    assert code == EXIT_OK
+    assert out.endswith("\ncount=17010 exhaustive=true\n")
+    assert searches[0] == 32372
+
+
 # sha256 of repr((name, argv, exit code, stdout, stderr)) over every run of
 # `pinned_runs`, taken from the two separate deciders that the single
 # decision pipeline replaced

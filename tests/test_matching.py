@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import random
 import time
 
@@ -45,6 +44,7 @@ from conftest import (
     petersen_graph,
     random_graph_corpus,
     reference_visit_maximum_matchings,
+    small_multigraphs,
     star_graph,
 )
 
@@ -230,27 +230,6 @@ def test_matching_number_agrees_with_networkx():
         assert len(maximum_matching(g)) == expect
 
 
-_small_graphs_pairs = st.integers(0, 7).flatmap(
-    lambda n: st.tuples(
-        st.just(n),
-        st.lists(
-            st.sampled_from(list(itertools.combinations(range(n), 2))),
-            unique=True,
-            max_size=12,
-        )
-        if n >= 2
-        else st.just([]),
-        st.lists(st.integers(1, 3), min_size=12, max_size=12),
-    )
-)
-
-
-@st.composite
-def small_multigraphs(draw):
-    n, edges, mults = draw(_small_graphs_pairs)
-    return graph_from_edges(n, ((u, v, m) for (u, v), m in zip(edges, itertools.cycle(mults))))
-
-
 @given(small_multigraphs())
 def test_property_blossom_matches_brute(g):
     assert len(maximum_matching(g)) == brute_force_matching_number(g)
@@ -327,6 +306,67 @@ def test_property_enumerator_matches_reference(g, cap, stop_after):
     _assert_same_as_reference(g)
     _assert_same_as_reference(g, cap=cap)
     _assert_same_as_reference(g, stop_after=stop_after)
+
+
+@pytest.mark.parametrize(
+    "build, r, cap",
+    [(build_B, 2, None), (build_G, 3, None), (build_H, 3, None), (build_F, 5, None),
+     (build_F, 6, None), (build_G, 4, 5000)],
+)
+def test_settled_everywhere_counts_like_reference(build, r, cap):
+    # A predicate that always holds lets the walk deliver the first
+    # matching only and count the rest, memoised by live set.
+    g = build(r)
+    first = []
+    ref_stats = reference_visit_maximum_matchings(
+        g, lambda m: first.append(m.sorted_edges()) if not first else True, cap=cap)
+    seen = []
+    stats = visit_maximum_matchings(
+        analyze(g), lambda m: seen.append(m.sorted_edges()), cap=cap, settled=lambda e: True)
+    assert stats == ref_stats
+    assert seen == first
+
+
+def test_settled_masks_are_exposed_by_the_matchings_below():
+    # The last mask handed to `settled` before a matching is delivered is
+    # part of that matching's exposed set, and all of it after the first.
+    g = build_G(3)
+    universe = frozenset(range(g.n))
+    asked = []
+
+    def settled(exposed):
+        asked.append(exposed)
+        return False
+
+    def visit(m):
+        mask = sum(1 << v for v in m.unsaturated(universe))
+        if seen:
+            assert asked[-1] == mask
+        else:
+            assert asked[-1] | mask == mask
+        seen.append(m)
+        return True
+
+    seen = []
+    stats = visit_maximum_matchings(analyze(g), visit, settled=settled)
+    assert (stats.count, stats.exhaustive) == (17010, True)
+
+
+@given(small_multigraphs(), st.integers(0, 6), st.one_of(st.none(), st.integers(1, 8)))
+def test_property_settled_skips_exactly_the_settled_matchings(g, x, cap):
+    # With "x is exposed" as the predicate, the walk delivers the reference's
+    # first matching and then exactly those that leave x matched, and counts
+    # the rest: the same stats at every cap.
+    ref, ref_stats = _visit_trace(reference_visit_maximum_matchings, g, cap)
+    universe = frozenset(range(g.n))
+    seen = []
+    stats = visit_maximum_matchings(
+        analyze(g), lambda m: seen.append(m.sorted_edges()), cap=cap,
+        settled=lambda exposed: exposed >> x & 1 == 1)
+    assert stats == ref_stats
+    expect = ref[:1] + [edges for edges in ref[1:]
+                        if x not in Matching(edges).unsaturated(universe)]
+    assert seen == expect
 
 
 # ------------------------------------------------ full-scan contraction oracle

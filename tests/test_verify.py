@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import matchex.matching as matching_mod
+import matchex.verify as verify_mod
 from matchex import (
     DEFAULT_CAP,
     HubClass,
@@ -24,11 +30,13 @@ from matchex import (
     is_counterexample,
     maximum_matching,
     strong_counterexample_certificate,
+    visit_maximum_matchings,
     weak_counterexample_certificate,
 )
 from matchex.verify import METHOD_CERTIFICATE, METHOD_ENUMERATION, METHOD_SHORT_CIRCUIT
 
 from conftest import (
+    CORPUS_SEED,
     collect_maximum_matchings,
     complete_graph,
     cycle_graph,
@@ -36,6 +44,7 @@ from conftest import (
     graph_from_edges,
     petersen_graph,
     random_graph_corpus,
+    small_multigraphs,
     strip_labels,
 )
 
@@ -405,3 +414,95 @@ def test_certificates_are_sound_on_corpus():
             report = is_counterexample(g, PairMode.ALL_PAIRS, cap=10**6)
             assert report.verdict is Verdict.COUNTEREXAMPLE
             assert report.exhaustive
+
+
+# ------------------------------------------------- counted, not visited
+#
+# `_decide` hands the enumerator a `settled` predicate so that matchings
+# whose verdict is already fixed are counted instead of checked.  Each
+# report must equal the one from visiting every matching.
+
+
+def _decisions(g, cap):
+    return (conjecture_holds(g, cap), is_counterexample(g, PairMode.SOME_PAIR, cap),
+            is_counterexample(g, PairMode.ALL_PAIRS, cap))
+
+
+def _assert_skipping_changes_no_report(g, caps=(DEFAULT_CAP,)):
+    fast = [_decisions(g, cap) for cap in caps]
+    with mock.patch.object(verify_mod, "_settled_predicate", lambda *args: None):
+        slow = [_decisions(g, cap) for cap in caps]
+    for cap, got, want in zip(caps, fast, slow):
+        assert got == want, f"cap {cap}"
+
+
+def _sweep_caps(g, most=200):
+    """Every cap from 1 to one past the matching count when g has at most
+    `most` maximum matchings, so a cap lands before, on and just past each
+    counted subtree; else the default cap alone."""
+    stats = visit_maximum_matchings(analyze(g), lambda m: True, cap=most + 1)
+    if stats.count > most:
+        return (DEFAULT_CAP,)
+    return tuple(range(1, stats.count + 2)) + (DEFAULT_CAP,)
+
+
+def test_skipping_changes_no_report_on_acceptance_corpus():
+    corpus = random_graph_corpus(seed=CORPUS_SEED, count=500,
+                                 max_n=12, max_support_edges=32)
+    for g in corpus:
+        _assert_skipping_changes_no_report(g, _sweep_caps(g))
+
+
+def test_skipping_changes_no_report_below_a_star():
+    # A K_{1,3} on the first vertices settles every branch once it is
+    # matched, and the corpus graph beside it is the same subtree under each
+    # of its three edges: the second and third are counted from the memo.
+    corpus = random_graph_corpus(seed=CORPUS_SEED, count=100,
+                                 max_n=12, max_support_edges=32)
+    for g in corpus:
+        h = graph_from_edges(4 + g.n, [(0, 1), (0, 2), (0, 3)]
+                             + [(u + 4, v + 4) for u, v in g.support_edges()])
+        _assert_skipping_changes_no_report(h, _sweep_caps(h))
+
+
+FAMILY_MEMBERS = {
+    "B2": lambda: build_B(2), "G3": lambda: build_G(3), "H3": lambda: build_H(3),
+    "F5": lambda: build_F(5), "F6": lambda: build_F(6), "G4": lambda: build_G(4),
+    "G3-unlabeled": lambda: strip_labels(build_G(3)),
+    "G4-unlabeled": lambda: strip_labels(build_G(4)),
+}
+
+
+@pytest.mark.parametrize("name", FAMILY_MEMBERS)
+def test_skipping_changes_no_report_on_families(name):
+    _assert_skipping_changes_no_report(FAMILY_MEMBERS[name](), (1, 2, 100, DEFAULT_CAP))
+
+
+@given(small_multigraphs())
+def test_property_skipping_changes_no_report(g):
+    _assert_skipping_changes_no_report(g, _sweep_caps(g))
+
+
+def test_G4_some_pair_counts_settled_matchings(monkeypatch):
+    searches, visits = [0], [0]
+    augment = matching_mod._augment_from
+    enumerate_all = verify_mod.visit_maximum_matchings
+
+    def counted_augment(*args):
+        searches[0] += 1
+        return augment(*args)
+
+    def counted_enumeration(analysis, visit, **kwargs):
+        def counted_visit(m):
+            visits[0] += 1
+            return visit(m)
+        return enumerate_all(analysis, counted_visit, **kwargs)
+
+    monkeypatch.setattr(matching_mod, "_augment_from", counted_augment)
+    monkeypatch.setattr(verify_mod, "visit_maximum_matchings", counted_enumeration)
+    report = is_counterexample(build_G(4), PairMode.SOME_PAIR)
+    assert (report.verdict, report.method, report.matchings_examined, report.exhaustive) == (
+        Verdict.COUNTEREXAMPLE, METHOD_CERTIFICATE, DEFAULT_CAP, False)
+    # visiting all 100000 matchings takes 138805 searches
+    assert searches[0] <= 10_000
+    assert visits[0] <= 10
