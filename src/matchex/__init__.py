@@ -34,7 +34,6 @@ from .matching import (
     MatchingAnalysis,
     TutteBergeWitness,
     analyze,
-    maximum_matching,
     tutte_berge_witness,
     visit_maximum_matchings,
 )

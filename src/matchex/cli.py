@@ -21,13 +21,7 @@ from typing import Optional, Sequence
 from . import families, verify
 from .hunt import DEFAULT_RETRY_BUDGET, HuntConfig, format_summary
 from .hunt import hunt as run_hunt
-from .matching import (
-    Matching,
-    analyze,
-    maximum_matching,
-    tutte_berge_witness,
-    visit_maximum_matchings,
-)
+from .matching import Matching, analyze, tutte_berge_witness, visit_maximum_matchings
 from .multigraph import MGFParseError, Multigraph, export_dot, parse_mgf, serialize_mgf
 
 EXIT_OK = 0
@@ -184,7 +178,7 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     highlight: frozenset[int] = frozenset()
     if args.mark_exposed:
-        highlight = maximum_matching(g).unsaturated(frozenset(range(g.n)))
+        highlight = analyze(g).matching.unsaturated(frozenset(range(g.n)))
     export_dot(g, sys.stdout, highlight=highlight)
     return EXIT_OK
 

@@ -58,14 +58,6 @@ class DegreeProfile:
             return f"regular({self.a})"
         return f"{self.kind}({self.a},{self.b})"
 
-    def matches(self, g: Multigraph) -> bool:
-        if self.kind == "regular":
-            return g.max_degree() == g.min_degree() == self.a
-        if self.kind == "minmax":
-            return g.max_degree() == self.a and g.min_degree() == self.b
-        cls = g.classify_biregular_bipartite()
-        return cls is not None and (cls.a, cls.b) == (self.a, self.b)
-
 
 @dataclass(frozen=True)
 class FamilyStats:

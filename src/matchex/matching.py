@@ -4,10 +4,9 @@ Every algorithm here runs on the support graph: multiplicities never
 change which vertex sets are matchable, so parallel edges are dropped on
 entry.  The module provides
 
-* `maximum_matching` - deterministic blossom-style augmentation,
-* `analyze` - one `MatchingAnalysis` per graph: a maximum matching, the
-  deficiency and the Gallai-Edmonds D/A/C decomposition, from one blossom
-  solve plus one alternating forest,
+* `analyze` - one `MatchingAnalysis` per graph: a deterministic maximum
+  matching, the deficiency and the Gallai-Edmonds D/A/C decomposition, from
+  one blossom solve plus one alternating forest,
 * `visit_maximum_matchings` - exhaustive enumeration of all maximum
   matchings of an analysed graph by branch-and-prune over an explicit
   stack, started from the analysis matching; each branch is checked by
@@ -69,20 +68,9 @@ class Matching:
     def __len__(self) -> int:
         return len(self._edges)
 
-    def saturates(self, v: int) -> bool:
-        return v in self._partner
-
     def unsaturated(self, vertices: frozenset[int]) -> frozenset[int]:
         """The members of `vertices` that the matching leaves exposed."""
         return vertices.difference(self._partner)
-
-    def validate_in(self, g: Multigraph) -> None:
-        """Reject matchings that use vertices or bundles g does not have."""
-        for u, v in self._edges:
-            if not (0 <= u < g.n and 0 <= v < g.n):
-                raise ValueError(f"matching edge {u}-{v} out of range for n={g.n}")
-            if g.bundle_multiplicity(u, v) == 0:
-                raise ValueError(f"matching edge {u}-{v} is not an edge of the graph")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matching):
@@ -102,7 +90,8 @@ class Matching:
 # Array-based augmenting search with cycle contraction, deterministic:
 # roots are tried in ascending id order and adjacency lists are sorted.
 # An `alive` mask lets callers delete vertices without rebuilding, and a
-# pre-seeded `match` array lets the enumerator reuse parent matchings.
+# search augments the `match` array it is given in place, so the enumerator
+# searches from the maximum matching a branch already holds.
 #
 # A contraction touches only the vertices it absorbs.  `members` maps each
 # base that heads a contracted blossom to the vertices it holds; a base
@@ -202,24 +191,20 @@ def _mark_path(match: list[int], p: list[int], base: list[int],
         v = p[match[v]]
 
 
-def _solve_matching(adj: list[tuple[int, ...]], alive: Optional[list[bool]] = None,
-                    match: Optional[list[int]] = None) -> list[int]:
-    """Maximum matching over the alive vertices; returns the partner array.
-
-    A supplied `match` array is augmented in place (callers own the copy).
-    """
+def _solve_matching(adj: list[tuple[int, ...]],
+                    alive: Optional[list[bool]] = None) -> list[int]:
+    """Maximum matching over the alive vertices; returns the partner array."""
     n = len(adj)
     if alive is None:
         alive = [True] * n
-    if match is None:
-        match = [-1] * n
-        for v in range(n):  # greedy warm start
-            if alive[v] and match[v] == -1:
-                for w in adj[v]:
-                    if alive[w] and match[w] == -1:
-                        match[v] = w
-                        match[w] = v
-                        break
+    match = [-1] * n
+    for v in range(n):  # greedy warm start
+        if alive[v] and match[v] == -1:
+            for w in adj[v]:
+                if alive[w] and match[w] == -1:
+                    match[v] = w
+                    match[w] = v
+                    break
     for root in range(n):
         if alive[root] and match[root] == -1:
             _augment_from(adj, alive, match, root)
@@ -232,11 +217,6 @@ def _match_size(match: list[int]) -> int:
 
 def _matching_from(match: list[int]) -> Matching:
     return Matching((v, w) for v, w in enumerate(match) if v < w)
-
-
-def maximum_matching(g: Multigraph) -> Matching:
-    """One maximum matching, deterministic for a fixed graph."""
-    return _matching_from(_solve_matching(g.support_adjacency()))
 
 
 # -- exhaustive enumeration -------------------------------------------------
@@ -465,7 +445,7 @@ class MatchingAnalysis:
 
 
 def analyze(g: Multigraph) -> MatchingAnalysis:
-    """One maximum matching (that of `maximum_matching`) plus the D/A/C
+    """One maximum matching, deterministic for a fixed graph, plus the D/A/C
     decomposition, from one blossom solve and one alternating forest.
 
     Edmonds' search grows a tree from every exposed vertex at once,
@@ -534,25 +514,7 @@ def tutte_berge_witness(analysis: MatchingAnalysis) -> TutteBergeWitness:
     """
     g = analysis.g
     s = analysis.ge.a
-    seen = [False] * g.n
-    for v in s:
-        seen[v] = True
-    odd = 0
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        size = 1
-        queue = deque((start,))
-        while queue:
-            u = queue.popleft()
-            for w in g.support_neighbors(u):
-                if not seen[w]:
-                    seen[w] = True
-                    size += 1
-                    queue.append(w)
-        if size % 2 == 1:
-            odd += 1
+    odd = sum(len(comp) % 2 for comp in g.components(set(range(g.n)) - s))
     if odd - len(s) != analysis.deficiency:
         raise RuntimeError(
             f"Tutte-Berge identity violated: odd={odd} |s|={len(s)} "

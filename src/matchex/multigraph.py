@@ -128,7 +128,7 @@ def _check_bundle(u: int, v: int, m: int, n: int) -> None:
 class Multigraph:
     """Undirected loop-free multigraph on vertices 0..n-1, immutable."""
 
-    __slots__ = ("_n", "_adj", "_labels", "_label_to_id")
+    __slots__ = ("_n", "_adj", "_labels")
 
     def __init__(self, n: int, bundles: Mapping[tuple[int, int], int] = _EMPTY,
                  labels: Mapping[int, VertexLabel] = _EMPTY):
@@ -150,14 +150,14 @@ class Multigraph:
             adj[u][v] = m
             adj[v][u] = m
         self._labels: dict[int, VertexLabel] = {}
-        self._label_to_id: dict[VertexLabel, int] = {}
+        owner: dict[VertexLabel, int] = {}
         for v, label in labels.items():
             _check_vertex_id(v, n)
             if isinstance(label, Plain):
                 if label.index != v:
                     raise ValueError(f"plain label {label.index} does not match vertex {v}")
                 continue
-            other = self._label_to_id.setdefault(label, v)
+            other = owner.setdefault(label, v)
             if other != v:
                 raise ValueError(f"label {label} already used by vertex {other}")
             self._labels[v] = label
@@ -195,29 +195,12 @@ class Multigraph:
         """Distinct neighbors of every vertex, ascending, indexed by vertex."""
         return [tuple(sorted(nbrs)) for nbrs in self._adj]
 
-    def common_neighbors(self, u: int, v: int) -> set[int]:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if u == v:
-            raise ValueError("common_neighbors needs two distinct vertices")
-        return set(self._adj[u]) & set(self._adj[v])
-
-    def bundle_multiplicity(self, u: int, v: int) -> int:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if u == v:
-            return 0
-        return self._adj[u].get(v, 0)
-
     def bundles(self) -> Iterator[tuple[int, int, int]]:
         """Yield (u, v, multiplicity) with u < v, ascending."""
         for u in range(self._n):
             for v in sorted(self._adj[u]):
                 if u < v:
                     yield u, v, self._adj[u][v]
-
-    def support_edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u, v, _ in self.bundles()]
 
     def support_edge_count(self) -> int:
         return sum(1 for _ in self.bundles())
@@ -231,50 +214,34 @@ class Multigraph:
         self._check_vertex(v)
         return self._labels.get(v, Plain(v))
 
-    def vertex_with_label(self, label: VertexLabel) -> int:
-        """Resolve a label to its vertex id; KeyError if absent."""
-        if isinstance(label, Plain):
-            if 0 <= label.index < self._n and label.index not in self._labels:
-                return label.index
-            raise KeyError(label)
-        try:
-            return self._label_to_id[label]
-        except KeyError:
-            raise KeyError(label) from None
-
     def labeled_vertices(self) -> list[tuple[int, VertexLabel]]:
         """Explicitly labeled vertices only, ascending by id."""
         return sorted(self._labels.items())
 
     # -- structure -----------------------------------------------------
 
-    def components(self) -> list[list[int]]:
-        """Connected components of the support graph, each sorted, ordered
-        by smallest member."""
-        seen = [False] * self._n
+    def components(self, vertices: Iterable[int]) -> list[list[int]]:
+        """Connected components of the support graph of g[vertices], each
+        sorted, ordered by smallest member."""
+        inside = [False] * self._n
+        for v in vertices:
+            self._check_vertex(v)
+            inside[v] = True
         out: list[list[int]] = []
         for start in range(self._n):
-            if seen[start]:
+            if not inside[start]:
                 continue
-            seen[start] = True
+            inside[start] = False
             comp = [start]
-            queue = deque((start,))
-            while queue:
-                u = queue.popleft()
-                for w in self._adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
+            stack = [start]
+            while stack:
+                for w in self._adj[stack.pop()]:
+                    if inside[w]:
+                        inside[w] = False
                         comp.append(w)
-                        queue.append(w)
+                        stack.append(w)
             out.append(sorted(comp))
         return out
-
-    def is_connected(self) -> bool:
-        return self._n <= 1 or len(self.components()) == 1
-
-    def support_graph(self) -> "Multigraph":
-        """Copy with every bundle multiplicity collapsed to 1."""
-        return Multigraph(self._n, {(u, v): 1 for u, v, _ in self.bundles()}, self._labels)
 
     def classify_biregular_bipartite(self) -> Optional[BiregularClassification]:
         """Classify as (a, b)-biregular bipartite if possible.

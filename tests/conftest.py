@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from matchex import (
+    DegreeProfile,
     GallaiEdmonds,
     Multigraph,
     analyze,
@@ -60,9 +61,25 @@ def graph_from_edges(n: int, edges) -> Multigraph:
     return Multigraph(n, bundles)
 
 
+def bundle_map(g: Multigraph) -> dict[tuple[int, int], int]:
+    """The (u, v) -> multiplicity map g was built from, u < v."""
+    return {(u, v): m for u, v, m in g.bundles()}
+
+
 def strip_labels(g: Multigraph) -> Multigraph:
     """g with its labels dropped."""
-    return Multigraph(g.n, {(u, v): m for u, v, m in g.bundles()})
+    return Multigraph(g.n, bundle_map(g))
+
+
+def degree_profile(g: Multigraph) -> DegreeProfile:
+    """The degree shape of g in the form `expected_stats` states it."""
+    hi, lo = g.max_degree(), g.min_degree()
+    if hi == lo:
+        return DegreeProfile("regular", hi, lo)
+    cls = g.classify_biregular_bipartite()
+    if cls is not None:
+        return DegreeProfile("biregular", cls.a, cls.b)
+    return DegreeProfile("minmax", hi, lo)
 
 
 def path_graph(k: int) -> Multigraph:
@@ -157,7 +174,7 @@ def random_subcubic_connected(rng: random.Random, n_min: int = 4,
             if not ok:
                 continue
             g = graph_from_edges(n, pairs)
-            if g.is_connected():
+            if len(g.components(range(n))) == 1:
                 return g
 
 

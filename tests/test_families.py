@@ -22,6 +22,8 @@ from matchex import (
     serialize_mgf,
 )
 
+from conftest import bundle_map, degree_profile
+
 ALL_SPECS = (
     [FamilySpec("B", r) for r in range(2, 6)]
     + [FamilySpec("G", r) for r in range(3, 7)]
@@ -75,8 +77,8 @@ def test_family_matches_expected_stats(spec):
     stats = expected_stats(spec)
     assert g.n == stats.vertex_count
     assert g.weighted_edge_count() == stats.weighted_edge_count
-    assert stats.degree_profile.matches(g)
-    assert g.is_connected()
+    assert degree_profile(g) == stats.degree_profile
+    assert len(g.components(range(g.n))) == 1
     assert len(g.labeled_vertices()) == g.n  # every vertex carries a label
 
 
@@ -85,23 +87,12 @@ def test_family_deficiency(spec):
     assert analyze(build_family(spec)).deficiency == expected_stats(spec).expected_deficiency
 
 
-def test_degree_profile_mismatches():
-    assert not DegreeProfile("regular", 7, 7).matches(build_H(3))
-    assert not DegreeProfile("minmax", 7, 6).matches(build_G(3))
-    assert not DegreeProfile("biregular", 4, 3).matches(build_G(3))
-
-
 def test_B_layout():
     g = build_B(2)
     # pair vertices first, lexicographic
-    assert g.vertex_with_label(Pair(1, 2)) == 0
-    assert g.vertex_with_label(Pair(1, 3)) == 1
-    assert g.vertex_with_label(Pair(3, 4)) == 5
+    assert [g.label(v) for v in (0, 1, 5)] == [Pair(1, 2), Pair(1, 3), Pair(3, 4)]
     # copy vertices in (i, k) order
-    assert g.vertex_with_label(Copy(1, 1)) == 6
-    assert g.vertex_with_label(Copy(2, 1)) == 7
-    assert g.vertex_with_label(Copy(1, 2)) == 8
-    assert g.vertex_with_label(Copy(2, 4)) == 13
+    assert [g.label(v) for v in (6, 7, 8, 13)] == [Copy(1, 1), Copy(2, 1), Copy(1, 2), Copy(2, 4)]
     # u(i,j) is joined to the copies of blocks i and j only, one edge each
     assert g.support_neighbors(0) == {6, 7, 8, 9}
     assert all(m == 1 for _, _, m in g.bundles())
@@ -112,13 +103,9 @@ def test_B_layout():
 def test_G_layout():
     g = build_G(3)
     assert [g.label(v) for v in (0, 1, 2)] == [Hub("x"), Hub("y"), Hub("z")]
-    assert g.vertex_with_label(Copy(1, 1)) == 3
-    assert g.vertex_with_label(Copy(3, 1)) == 5
-    assert g.vertex_with_label(Copy(1, 2)) == 6
+    assert [g.label(v) for v in (3, 5, 6)] == [Copy(1, 1), Copy(3, 1), Copy(1, 2)]
     # triangle side bundles all have multiplicity r
-    assert g.bundle_multiplicity(3, 4) == 3
-    assert g.bundle_multiplicity(4, 5) == 3
-    assert g.bundle_multiplicity(3, 5) == 3
+    assert [bundle_map(g)[e] for e in ((3, 4), (4, 5), (3, 5))] == [3, 3, 3]
     # hub x sees v1 of each of the 2r+1 = 7 blocks
     assert g.support_neighbors(0) == {3 + 3 * i for i in range(7)}
     assert g.support_neighbors(1) == {4 + 3 * i for i in range(7)}
@@ -129,22 +116,19 @@ def test_G_layout():
 def test_H_layout():
     g = build_H(3)
     # identical to G(3) except one parallel edge dropped from each (v3, v1)
-    assert g.bundle_multiplicity(3, 4) == 3
-    assert g.bundle_multiplicity(4, 5) == 3
-    assert g.bundle_multiplicity(3, 5) == 2
+    assert [bundle_map(g)[e] for e in ((3, 4), (4, 5), (3, 5))] == [3, 3, 2]
     assert g.degree(0) == 7  # hubs keep degree 2r+1
     assert g.degree(4) == 7  # v2 keeps degree 2r+1
     assert g.degree(3) == 6 and g.degree(5) == 6  # v1, v3 drop to 2r
     # support graph unchanged: same adjacency as G(3)
-    assert g.support_graph() == build_G(3).support_graph()
+    assert bundle_map(g).keys() == bundle_map(build_G(3)).keys()
+    assert g.labeled_vertices() == build_G(3).labeled_vertices()
 
 
 def test_F_layout():
     g = build_F(5)
     assert g.n == 18  # r = 5 blocks, not 2r+1
-    assert g.bundle_multiplicity(3, 4) == 4
-    assert g.bundle_multiplicity(4, 5) == 4
-    assert g.bundle_multiplicity(3, 5) == 4
+    assert [bundle_map(g)[e] for e in ((3, 4), (4, 5), (3, 5))] == [4, 4, 4]
     # each hub touches two corners of every triangle
     assert g.support_neighbors(3) == {0, 1, 4, 5}  # v1: x, y
     assert g.support_neighbors(4) == {0, 2, 3, 5}  # v2: x, z

@@ -21,7 +21,6 @@ from matchex import (
     build_G,
     build_H,
     derive_item_seed,
-    maximum_matching,
     random_regular_graph,
     tutte_berge_witness,
     visit_maximum_matchings,
@@ -32,6 +31,7 @@ from conftest import (
     CORPUS_SEED,
     brute_force_all_maximum_matchings,
     brute_force_matching_number,
+    bundle_map,
     collect_maximum_matchings,
     complete_graph,
     cycle_graph,
@@ -55,7 +55,7 @@ def test_matching_normalizes_and_validates():
     m = Matching([(2, 1), (0, 3)])
     assert m.sorted_edges() == ((0, 3), (1, 2))
     assert len(m) == 2
-    assert m.saturates(3) and not m.saturates(4)
+    assert m.unsaturated(frozenset({3, 4})) == {4}
     with pytest.raises(ValueError):
         Matching([(1, 1)])
     with pytest.raises(ValueError):
@@ -69,22 +69,11 @@ def test_matching_equality_and_hash():
     assert Matching([]) != "something else"
 
 
-def test_matching_validate_in():
-    g = path_graph(3)
-    Matching([(0, 1)]).validate_in(g)
-    with pytest.raises(ValueError):
-        Matching([(0, 2)]).validate_in(g)  # not an edge
-    with pytest.raises(ValueError):
-        Matching([(2, 3)]).validate_in(g)  # out of range
-
-
 def test_exposed_vertices():
     g = path_graph(3)
     vertices = frozenset(range(g.n))
     assert Matching([(0, 1)]).unsaturated(vertices) == {2}
     assert Matching([]).unsaturated(vertices) == {0, 1, 2}
-    with pytest.raises(ValueError):
-        Matching([(0, 2)]).validate_in(g)
 
 
 # ------------------------------------------------------------- known values
@@ -109,15 +98,15 @@ def test_exposed_vertices():
     ],
 )
 def test_matching_number_known(g, nu):
-    m = maximum_matching(g)
-    m.validate_in(g)
+    m = analyze(g).matching
+    assert bundle_map(g).keys() >= m.edges
     assert len(m) == nu
     assert analyze(g).deficiency == g.n - 2 * nu
 
 
 def test_maximum_matching_deterministic():
     g = petersen_graph()
-    assert maximum_matching(g) == maximum_matching(g)
+    assert analyze(g).matching == analyze(g).matching
 
 
 @pytest.mark.parametrize(
@@ -175,10 +164,10 @@ def test_visitor_early_stop():
 
 def test_visited_matchings_are_maximum_and_valid():
     g = cycle_graph(7)
-    nu = len(maximum_matching(g))
+    nu = len(analyze(g).matching)
 
     def check(m):
-        m.validate_in(g)
+        assert bundle_map(g).keys() >= m.edges
         assert len(m) == nu
         return True
 
@@ -211,7 +200,7 @@ def test_brute_force_guard():
 
 def test_blossom_agrees_with_brute_force_on_corpus():
     for g in random_graph_corpus(seed=202, count=200):
-        assert len(maximum_matching(g)) == brute_force_matching_number(g)
+        assert len(analyze(g).matching) == brute_force_matching_number(g)
 
 
 def test_enumeration_agrees_with_brute_force_on_corpus():
@@ -225,14 +214,14 @@ def test_matching_number_agrees_with_networkx():
     for g in random_graph_corpus(seed=204, count=200):
         h = nx.Graph()
         h.add_nodes_from(range(g.n))
-        h.add_edges_from(g.support_edges())
+        h.add_edges_from(bundle_map(g))
         expect = len(nx.max_weight_matching(h, maxcardinality=True))
-        assert len(maximum_matching(g)) == expect
+        assert len(analyze(g).matching) == expect
 
 
 @given(small_multigraphs())
 def test_property_blossom_matches_brute(g):
-    assert len(maximum_matching(g)) == brute_force_matching_number(g)
+    assert len(analyze(g).matching) == brute_force_matching_number(g)
 
 
 @given(small_multigraphs())
@@ -244,8 +233,8 @@ def test_property_enumeration_matches_brute(g):
 
 @given(small_multigraphs())
 def test_property_multiplicities_do_not_matter(g):
-    s = g.support_graph()
-    assert len(maximum_matching(g)) == len(maximum_matching(s))
+    s = Multigraph(g.n, dict.fromkeys(bundle_map(g), 1))
+    assert len(analyze(g).matching) == len(analyze(s).matching)
     assert set(collect_maximum_matchings(g)[0]) == set(collect_maximum_matchings(s)[0])
     assert analyze(g).ge == analyze(s).ge
 
@@ -457,7 +446,7 @@ def test_gallai_edmonds_partition_and_exposure_on_corpus():
         assert stats.exhaustive
         exposable = set()
         for m in found:
-            m.validate_in(g)
+            assert bundle_map(g).keys() >= m.edges
             exposable |= m.unsaturated(frozenset(range(g.n)))
         assert ge.d == frozenset(exposable)
 
@@ -474,9 +463,9 @@ def test_analyze_agrees_with_separate_solves_on_corpus():
     for g in random_graph_corpus(seed=207, count=150):
         analysis = analyze(g)
         assert analysis.g is g
-        assert analysis.matching == maximum_matching(g)
-        analysis.matching.validate_in(g)
-        assert analysis.deficiency == g.n - 2 * len(maximum_matching(g))
+        assert bundle_map(g).keys() >= analysis.matching.edges
+        nu = brute_force_matching_number(g)
+        assert len(analysis.matching) == nu and analysis.deficiency == g.n - 2 * nu
         assert analysis.ge == deletion_gallai_edmonds(g)
 
 
@@ -539,7 +528,7 @@ def test_gallai_edmonds_raises_on_non_maximum_matching(monkeypatch):
     # an empty "maximum" matching leaves both ends of every edge exposed,
     # so the forest meets an outer-outer edge between two trees
     monkeypatch.setattr(matching_mod, "_solve_matching",
-                        lambda adj, alive=None, match=None: [-1] * len(adj))
+                        lambda adj, alive=None: [-1] * len(adj))
     with pytest.raises(RuntimeError, match="matching implementation is buggy"):
         analyze(path_graph(3))
 
@@ -561,14 +550,14 @@ def test_tutte_berge_known(g, s, odd):
     w = tutte_berge_witness(analyze(g))
     assert w.s == frozenset(s)
     assert w.odd_count == odd
-    assert w.odd_count - len(w.s) == g.n - 2 * len(maximum_matching(g))
+    assert w.odd_count - len(w.s) == g.n - 2 * len(analyze(g).matching)
 
 
 def test_tutte_berge_identity_on_corpus():
     # the function re-derives odd components and raises on any mismatch
     for g in random_graph_corpus(seed=206, count=120):
         w = tutte_berge_witness(analyze(g))
-        assert w.odd_count - len(w.s) == g.n - 2 * len(maximum_matching(g))
+        assert w.odd_count - len(w.s) == g.n - 2 * brute_force_matching_number(g)
 
 
 def test_tutte_berge_raises_on_inconsistent_analysis():
@@ -638,7 +627,7 @@ def test_hall_violator_matches_saturation_semantics():
         found, stats = collect_maximum_matchings(g)
         assert stats.exhaustive
         always_saturated = all(
-            all(m.saturates(v) for v in side) for m in found
+            not m.unsaturated(frozenset(side)) for m in found
         )
         assert (not w) == always_saturated
         if w:

@@ -7,6 +7,7 @@ import io
 import itertools
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from matchex import (
     Multigraph,
     Pair,
     Plain,
+    analyze,
     build_B,
     derive_item_seed,
     export_dot,
@@ -28,6 +30,7 @@ from matchex import (
 
 from conftest import (
     CORPUS_SEED,
+    bundle_map,
     complete_graph,
     cycle_graph,
     disjoint_triangles,
@@ -37,6 +40,7 @@ from conftest import (
     random_graph_corpus,
     random_multigraph,
     random_subcubic_connected,
+    small_multigraphs,
     star_graph,
 )
 
@@ -70,23 +74,14 @@ def test_plain_labels_are_implicit():
     assert g.labeled_vertices() == []
     assert g == Multigraph(2)
     assert g.label(1) == Plain(1)
-    assert g.vertex_with_label(Plain(1)) == 1
     with pytest.raises(ValueError):
         Multigraph(2, labels={0: Plain(1)})
-    with pytest.raises(KeyError):
-        g.vertex_with_label(Plain(5))
-
-
-def test_vertex_with_label_missing():
-    g = Multigraph(2)
-    with pytest.raises(KeyError):
-        g.vertex_with_label(Hub("x"))
 
 
 def test_plain_lookup_blocked_by_explicit_label():
     g = Multigraph(2, labels={0: Hub("z")})
-    with pytest.raises(KeyError):
-        g.vertex_with_label(Plain(0))
+    assert g.label(0) == Hub("z")
+    assert g.labeled_vertices() == [(0, Hub("z"))]
 
 
 # ------------------------------------------------------------ construction
@@ -136,32 +131,50 @@ def test_degree_queries():
 
 def test_common_neighbors():
     g = star_graph(3)
-    assert g.common_neighbors(1, 2) == {0}
-    assert g.common_neighbors(0, 1) == set()
-    with pytest.raises(ValueError):
-        g.common_neighbors(1, 1)
+    assert g.support_neighbors(1) & g.support_neighbors(2) == {0}
+    assert g.support_neighbors(0) & g.support_neighbors(1) == set()
 
 
 def test_bundles_sorted():
     g = Multigraph(4, {(2, 3): 1, (0, 3): 2, (0, 1): 1})
     assert list(g.bundles()) == [(0, 1, 1), (0, 3, 2), (2, 3, 1)]
-    assert g.support_edges() == [(0, 1), (0, 3), (2, 3)]
 
 
 def test_components_and_connectivity():
     g = Multigraph(5, {(0, 2): 1, (1, 3): 1})
-    assert g.components() == [[0, 2], [1, 3], [4]]
-    assert not g.is_connected()
-    assert path_graph(4).is_connected()
-    assert Multigraph(0).is_connected()
-    assert Multigraph(1).is_connected()
+    assert g.components(range(5)) == [[0, 2], [1, 3], [4]]
+    assert g.components({0, 1, 4}) == [[0], [1], [4]]
+    assert path_graph(4).components(range(4)) == [[0, 1, 2, 3]]
+    assert path_graph(4).components({0, 1, 3}) == [[0, 1], [3]]
+    assert Multigraph(0).components([]) == []
+    with pytest.raises(ValueError):
+        g.components([5])
 
 
-def test_support_graph_collapses_multiplicities():
-    g = Multigraph(3, {(0, 1): 4, (1, 2): 1}, {0: Hub("x")})
-    s = g.support_graph()
-    assert list(s.bundles()) == [(0, 1, 1), (1, 2, 1)]
-    assert s.label(0) == Hub("x")
+def _assert_components_match_networkx(g: Multigraph) -> None:
+    # all of V, V - A (the Tutte-Berge witness) and D (the Gallai-Edmonds side)
+    ge = analyze(g).ge
+    everything = set(range(g.n))
+    for vertices in (everything, everything - ge.a, ge.d):
+        h = nx.Graph()
+        h.add_nodes_from(vertices)
+        h.add_edges_from(e for e in bundle_map(g) if vertices.issuperset(e))
+        expect = sorted(sorted(c) for c in nx.connected_components(h))
+        assert g.components(vertices) == expect
+
+
+def test_components_match_networkx_on_corpus():
+    for g in random_graph_corpus(seed=CORPUS_SEED, count=500, max_n=12, max_support_edges=32):
+        _assert_components_match_networkx(g)
+    g = star_graph(3)  # g - A leaves three isolated vertices
+    assert analyze(g).ge.a == {0}
+    assert g.components({1, 2, 3}) == [[1], [2], [3]]
+    _assert_components_match_networkx(g)
+
+
+@given(small_multigraphs())
+def test_property_components_match_networkx(g):
+    _assert_components_match_networkx(g)
 
 
 def test_equality_sensitive_to_structure_and_labels():
@@ -280,7 +293,7 @@ def _assert_classification_valid(g: Multigraph, cls: BiregularClassification) ->
     assert cls.a >= cls.b
     assert {g.degree(v) for v in side_a} == {cls.a}
     assert {g.degree(v) for v in side_b} == {cls.b}
-    for u, v in g.support_edges():
+    for u, v in bundle_map(g):
         assert (u in side_a) != (v in side_a)
 
 
@@ -326,7 +339,7 @@ def test_mgf_round_trip_sample():
     assert g.label(1) == Plain(1)
     assert g.label(2) == Pair(1, 3)
     assert g.label(3) == Copy(2, 1)
-    assert g.bundle_multiplicity(2, 3) == 4
+    assert bundle_map(g)[2, 3] == 4
     assert serialize_mgf(g) == SAMPLE_MGF
     assert parse_mgf(serialize_mgf(g)) == g
 
@@ -335,7 +348,7 @@ def test_mgf_blank_lines_and_whitespace():
     text = "\nmgf 2\n\n  0 1 3  \n\n"
     g = parse_mgf(text)
     assert g.n == 2
-    assert g.bundle_multiplicity(0, 1) == 3
+    assert bundle_map(g) == {(0, 1): 3}
 
 
 def test_mgf_vertex_only_graph():
@@ -430,7 +443,8 @@ def test_handshake_and_symmetry(g):
     for v in range(g.n):
         for w in g.support_neighbors(v):
             assert v in g.support_neighbors(w)
-            assert g.bundle_multiplicity(v, w) == g.bundle_multiplicity(w, v)
+        # degree reads v's side of each bundle, bundles() the lower end's
+        assert g.degree(v) == sum(m for e, m in bundle_map(g).items() if v in e)
 
 
 # ------------------------------------------------------------------- DOT
