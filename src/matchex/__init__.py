@@ -38,7 +38,6 @@ from .matching import (
     visit_maximum_matchings,
 )
 from .multigraph import (
-    BiregularClassification,
     Copy,
     Hub,
     MGFParseError,

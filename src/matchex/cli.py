@@ -115,18 +115,21 @@ def _cmd_info(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     analysis = analyze(g)
     tb = tutte_berge_witness(analysis)
-    if g.n == 0:
-        degrees = "empty"
+    # (hi, lo)-biregular bipartite is exactly: every edge joins degree hi
+    # to degree lo, for then the two degree classes 2-colour the graph
+    degrees = [g.degree(v) for v in range(g.n)]
+    if not degrees:
+        shape = "empty"
     else:
-        lo, hi = g.min_degree(), g.max_degree()
-        if lo == hi:
-            degrees = f"regular({hi})"
+        hi, lo = max(degrees), min(degrees)
+        if hi == lo:
+            shape = f"regular({hi})"
+        elif all({degrees[u], degrees[v]} == {hi, lo} for u, v, _ in g.bundles()):
+            shape = f"biregular({hi},{lo})"
         else:
-            cls = g.classify_biregular_bipartite()
-            degrees = (f"biregular({cls.a},{cls.b})" if cls is not None
-                       else f"irregular(max={hi},min={lo})")
+            shape = f"irregular(max={hi},min={lo})"
     print(f"n={g.n} m={g.weighted_edge_count()} support_edges={g.support_edge_count()} "
-          f"degrees={degrees} nu={len(analysis.matching)} deficiency={analysis.deficiency} "
+          f"degrees={shape} nu={len(analysis.matching)} deficiency={analysis.deficiency} "
           f"d_size={len(analysis.ge.d)} witness_s={len(tb.s)} odd_components={tb.odd_count}")
     return EXIT_OK
 
@@ -162,7 +165,6 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
         degree=args.degree, n_min=args.min_n, n_max=args.max_n, count=args.count,
         seed=args.seed, simple_only=not args.allow_parallel, cap=cap,
         max_retries=args.retries)
-    config.validate()
     summary = run_hunt(config, workers=args.workers)
     sys.stdout.write(format_summary(summary))
     if args.dump_dir is not None and summary.counterexamples:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Optional
 
 from .multigraph import Multigraph
@@ -29,10 +30,10 @@ from .multigraph import Multigraph
 class Matching:
     """A set of vertex-disjoint support edges, stored as (u, v) with u < v."""
 
-    __slots__ = ("_edges", "_partner")
+    __slots__ = ("_edges",)
 
     def __init__(self, edges: Iterable[tuple[int, int]]):
-        partner: dict[int, int] = {}
+        matched: set[int] = set()
         normalized = []
         for e in edges:
             u, v = e
@@ -40,22 +41,19 @@ class Matching:
                 raise ValueError(f"matching edge {u}-{v} is a loop")
             if u > v:
                 u, v = v, u
-            if u in partner or v in partner:
+            if u in matched or v in matched:
                 raise ValueError(f"matching edges are not vertex-disjoint at {u}-{v}")
-            partner[u] = v
-            partner[v] = u
+            matched.add(u)
+            matched.add(v)
             normalized.append((u, v))
         self._edges = frozenset(normalized)
-        self._partner = partner
 
     @classmethod
-    def _trusted(cls, edges: frozenset[tuple[int, int]], partner: dict[int, int]) -> Matching:
-        """Matching from vertex-disjoint (u, v) edges with u < v and their
-        symmetric partner map, unchecked and owned by the new object; for
-        callers that only build such edges."""
+    def _trusted(cls, edges: frozenset[tuple[int, int]]) -> Matching:
+        """Matching from vertex-disjoint (u, v) edges with u < v, unchecked;
+        for callers that only build such edges."""
         m = cls.__new__(cls)
         m._edges = edges
-        m._partner = partner
         return m
 
     @property
@@ -70,7 +68,7 @@ class Matching:
 
     def unsaturated(self, vertices: frozenset[int]) -> frozenset[int]:
         """The members of `vertices` that the matching leaves exposed."""
-        return vertices.difference(self._partner)
+        return vertices.difference(chain.from_iterable(self._edges))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matching):
@@ -282,7 +280,6 @@ def visit_maximum_matchings(analysis: MatchingAnalysis,
     alive = [True] * n
     is_alive = alive.__getitem__
     chosen: list[tuple[int, int]] = []
-    partner: dict[int, int] = {}
     count = 0
     memo: dict[int, int] = {}  # live bitmask -> maximum matchings below it
 
@@ -341,7 +338,7 @@ def visit_maximum_matchings(analysis: MatchingAnalysis,
                 skip = calm or settled(exposed | live)
             else:
                 skip = False
-            if not skip and visit(Matching._trusted(frozenset(chosen), partner.copy())) is False:
+            if not skip and visit(Matching._trusted(frozenset(chosen))) is False:
                 return EnumerationStats(count=count, exhaustive=False)
         else:
             # Vertices below the parent's v are dead, and stay so.
@@ -384,7 +381,6 @@ def visit_maximum_matchings(analysis: MatchingAnalysis,
                 w = nbrs[j - 1]
                 alive[w] = True
                 chosen.pop()
-                del partner[v], partner[w]
             for j in range(j, len(nbrs)):
                 w = nbrs[j]
                 if alive[w]:
@@ -403,8 +399,6 @@ def visit_maximum_matchings(analysis: MatchingAnalysis,
                 continue
             frame[3] = j + 1
             chosen.append((v, w) if v < w else (w, v))
-            partner[v] = w
-            partner[w] = v
             hint, remaining, start = m2, remaining - 1, v + 1
             break
         else:

@@ -13,7 +13,6 @@ stream as it goes.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, TextIO, Union
@@ -91,16 +90,6 @@ class MGFParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class BiregularClassification:
-    """Bipartition with uniform per-side degrees a (side_a) and b (side_b)."""
-
-    a: int
-    b: int
-    side_a: tuple[int, ...]
-    side_b: tuple[int, ...]
-
-
 _EMPTY: Mapping = MappingProxyType({})
 
 
@@ -176,16 +165,6 @@ class Multigraph:
         self._check_vertex(v)
         return sum(self._adj[v].values())
 
-    def max_degree(self) -> int:
-        if self._n == 0:
-            raise ValueError("empty graph has no degrees")
-        return max(self.degree(v) for v in range(self._n))
-
-    def min_degree(self) -> int:
-        if self._n == 0:
-            raise ValueError("empty graph has no degrees")
-        return min(self.degree(v) for v in range(self._n))
-
     def support_neighbors(self, v: int) -> set[int]:
         """Distinct neighbors of v, multiplicities ignored."""
         self._check_vertex(v)
@@ -242,67 +221,6 @@ class Multigraph:
                         stack.append(w)
             out.append(sorted(comp))
         return out
-
-    def classify_biregular_bipartite(self) -> Optional[BiregularClassification]:
-        """Classify as (a, b)-biregular bipartite if possible.
-
-        Returns the degree pair (a >= b; ties broken so vertex 0's side
-        comes first) and the bipartition, or None for graphs that are not
-        bipartite, have no edges, or admit no orientation of component
-        2-colorings with uniform per-side degrees.
-        """
-        n = self._n
-        if n == 0 or self.support_edge_count() == 0:
-            return None
-        color = [-1] * n
-        comp_classes: list[tuple[list[int], list[int]]] = []
-        for start in range(n):
-            if color[start] != -1:
-                continue
-            color[start] = 0
-            cls: tuple[list[int], list[int]] = ([start], [])
-            queue = deque((start,))
-            while queue:
-                u = queue.popleft()
-                for w in self._adj[u]:
-                    if color[w] == -1:
-                        color[w] = color[u] ^ 1
-                        cls[color[w]].append(w)
-                        queue.append(w)
-                    elif color[w] == color[u]:
-                        return None  # odd cycle
-            comp_classes.append(cls)
-
-        degs = {self.degree(v) for v in range(n)}
-        if len(degs) > 2:
-            return None
-        if len(degs) == 1:
-            a = b = degs.pop()
-            side_a = sorted(v for c0, _ in comp_classes for v in c0)
-            side_b = sorted(v for _, c1 in comp_classes for v in c1)
-            return BiregularClassification(a, b, tuple(side_a), tuple(side_b))
-
-        a, b = sorted(degs, reverse=True)
-        side_a: list[int] = []
-        side_b: list[int] = []
-        for c0, c1 in comp_classes:
-            if not c1:  # isolated vertex, degree 0
-                (side_a if a == 0 else side_b).extend(c0)
-                continue
-            d0 = {self.degree(v) for v in c0}
-            d1 = {self.degree(v) for v in c1}
-            if len(d0) != 1 or len(d1) != 1:
-                return None
-            d0v, d1v = d0.pop(), d1.pop()
-            if {d0v, d1v} != {a, b}:
-                return None  # forces d0v != d1v since a != b
-            if d0v == a:
-                side_a.extend(c0)
-                side_b.extend(c1)
-            else:
-                side_a.extend(c1)
-                side_b.extend(c0)
-        return BiregularClassification(a, b, tuple(sorted(side_a)), tuple(sorted(side_b)))
 
     # -- dunder ----------------------------------------------------------
 

@@ -263,8 +263,12 @@ def _decide(g: Multigraph, mode: Optional[PairMode], cap: int,
             witness=MatchingWitness(m, _exposed(m, vertices)),
             detail=(f"deficiency {defic} <= 1, no exposed pair can exist" if mode is None
                     else f"deficiency {defic} < 2, cannot be a counterexample"))
+    # SomePair needs the strong certificate only once enumeration hits its
+    # cap; the other modes need it before enumerating
+    strong = (None if mode is PairMode.SOME_PAIR
+              else strong_counterexample_certificate(analysis))
     if mode is None:
-        report = _certified(analysis, mode, classes, 0)
+        report = _certified(analysis, mode, classes, 0, strong)
         if report is not None:
             return report
     refuting: list[MatchingWitness] = []
@@ -290,7 +294,7 @@ def _decide(g: Multigraph, mode: Optional[PairMode], cap: int,
         return True
 
     stats = visit_maximum_matchings(analysis, check, cap=cap,
-                                    settled=_settled_predicate(analysis, mode))
+                                    settled=_settled_predicate(analysis, mode, strong))
     if refuting:
         what = ("an exposed pair sharing no neighbor" if mode is PairMode.ALL_PAIRS
                 else "common-neighbor-free exposed set")
@@ -316,7 +320,9 @@ def _decide(g: Multigraph, mode: Optional[PairMode], cap: int,
     if mode is None:
         detail = f"enumeration cap {cap} reached without a deciding matching"
     else:
-        report = _certified(analysis, mode, classes, stats.count)
+        if mode is PairMode.SOME_PAIR:
+            strong = strong_counterexample_certificate(analysis)
+        report = _certified(analysis, mode, classes, stats.count, strong)
         if report is not None:
             return report
         detail = f"enumeration cap {cap} reached and no certificate applies"
@@ -325,8 +331,8 @@ def _decide(g: Multigraph, mode: Optional[PairMode], cap: int,
         matchings_examined=stats.count, exhaustive=False, detail=detail)
 
 
-def _settled_predicate(analysis: MatchingAnalysis,
-                       mode: Optional[PairMode]) -> Optional[Callable[[int], bool]]:
+def _settled_predicate(analysis: MatchingAnalysis, mode: Optional[PairMode],
+                       strong: Optional[StrongCertificate]) -> Optional[Callable[[int], bool]]:
     """The `settled` hook `_decide` hands the enumerator: true on an exposed
     bitmask once `check` must accept every maximum matching exposing it.
 
@@ -337,9 +343,7 @@ def _settled_predicate(analysis: MatchingAnalysis,
     certificate holds (every pair of D shares one), and never otherwise.
     """
     if mode is PairMode.ALL_PAIRS:
-        if strong_counterexample_certificate(analysis) is None:
-            return None
-        return lambda exposed: True
+        return None if strong is None else (lambda exposed: True)
     g = analysis.g
     # Support-neighbor bitmasks, built on first use: the walk may touch few
     # of the vertices of D, and n masks of n bits would not fit for large n.
@@ -363,10 +367,11 @@ def _settled_predicate(analysis: MatchingAnalysis,
 
 
 def _certified(analysis: MatchingAnalysis, mode: Optional[PairMode],
-               classes: Optional[Sequence[HubClass]], count: int) -> Optional[VerificationReport]:
+               classes: Optional[Sequence[HubClass]], count: int,
+               strong: Optional[StrongCertificate]) -> Optional[VerificationReport]:
     """The certificate chain of `_decide`: the strong certificate, then the
     weak one unless mode is AllPairs; None when neither applies."""
-    cert = strong_counterexample_certificate(analysis)
+    cert = strong
     detail = ("every exposable pair shares a neighbor" if mode is None
               else "enumeration capped; strong certificate decides")
     if cert is None and mode is not PairMode.ALL_PAIRS:

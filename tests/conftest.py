@@ -73,12 +73,13 @@ def strip_labels(g: Multigraph) -> Multigraph:
 
 def degree_profile(g: Multigraph) -> DegreeProfile:
     """The degree shape of g in the form `expected_stats` states it."""
-    hi, lo = g.max_degree(), g.min_degree()
+    degrees = [g.degree(v) for v in range(g.n)]
+    hi, lo = max(degrees), min(degrees)
     if hi == lo:
         return DegreeProfile("regular", hi, lo)
-    cls = g.classify_biregular_bipartite()
-    if cls is not None:
-        return DegreeProfile("biregular", cls.a, cls.b)
+    # every edge joins the two degrees: the degree classes 2-colour g
+    if all({degrees[u], degrees[v]} == {hi, lo} for u, v, _ in g.bundles()):
+        return DegreeProfile("biregular", hi, lo)
     return DegreeProfile("minmax", hi, lo)
 
 

@@ -27,7 +27,9 @@ from matchex import (
 )
 from matchex import matching as matching_mod
 from matchex import multigraph as multigraph_mod
+from matchex import verify as verify_mod
 from matchex.cli import (
+    CAP_ENV_VAR,
     EXIT_COUNTEREXAMPLE,
     EXIT_ERROR,
     EXIT_INCONCLUSIVE,
@@ -294,6 +296,28 @@ def test_one_blossom_solve_per_decision(capsys, monkeypatch, argv, graph, solves
     code, _, _ = run_cli(argv, capsys, monkeypatch, stdin_text=text)
     assert code in (EXIT_OK, EXIT_COUNTEREXAMPLE, EXIT_INCONCLUSIVE)
     assert calls[0] == solves
+
+
+@pytest.mark.parametrize("graph", [build_B(2), build_F(6), build_G(3), build_G(4)],
+                         ids=["B2", "F6", "G3", "G4"])
+@pytest.mark.parametrize("mode", ["conjecture", "all-pairs", "some-pair"])
+@pytest.mark.parametrize("cap", [["--cap", "10"], []], ids=["cap10", "default-cap"])
+def test_one_strong_certificate_per_decision(capsys, monkeypatch, graph, mode, cap):
+    # all-pairs needs the certificate before enumerating (to settle the walk)
+    # and again once the cap is hit; it is computed once and handed to both
+    calls = [0]
+    certify = verify_mod.strong_counterexample_certificate
+
+    def counted(*args):
+        calls[0] += 1
+        return certify(*args)
+
+    monkeypatch.setattr(verify_mod, "strong_counterexample_certificate", counted)
+    monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+    code, _, _ = run_cli(["verify", "--mode", mode] + cap, capsys, monkeypatch,
+                         stdin_text=serialize_mgf(graph))
+    assert code in (EXIT_OK, EXIT_COUNTEREXAMPLE)
+    assert calls[0] <= 1
 
 
 def test_one_blossom_solve_per_short_circuit_hunt_item(monkeypatch):

@@ -1,11 +1,14 @@
-"""Multigraph container, labels, biregular classification, MGF and DOT."""
+"""Multigraph container, labels, the degree shape `info` prints, MGF and DOT."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import itertools
 import random
+import sys
+from unittest import mock
 
 import networkx as nx
 import pytest
@@ -13,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchex import (
-    BiregularClassification,
     Copy,
     Hub,
     MGFParseError,
@@ -22,11 +24,13 @@ from matchex import (
     Plain,
     analyze,
     build_B,
+    build_H,
     derive_item_seed,
     export_dot,
     parse_mgf,
     serialize_mgf,
 )
+from matchex.cli import main
 
 from conftest import (
     CORPUS_SEED,
@@ -118,15 +122,9 @@ def test_degree_queries():
     g = Multigraph(4, {(0, 1): 3, (0, 2): 1})
     assert g.degree(0) == 4
     assert g.degree(3) == 0
-    assert g.max_degree() == 4
-    assert g.min_degree() == 0
     assert g.support_neighbors(0) == {1, 2}
     assert g.weighted_edge_count() == 4
     assert g.support_edge_count() == 2
-    with pytest.raises(ValueError):
-        Multigraph(0).max_degree()
-    with pytest.raises(ValueError):
-        Multigraph(0).min_degree()
 
 
 def test_common_neighbors():
@@ -192,59 +190,64 @@ def test_repr_mentions_counts():
     assert "edges=2" in repr(g)
 
 
-# ------------------------------------------------- biregular classification
+# ------------------------------------------------------------ degree shape
+
+
+def info_degrees(g: Multigraph) -> str:
+    """The `degrees=` field that `matchex info` prints for g."""
+    out = io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(serialize_mgf(g))), \
+            contextlib.redirect_stdout(out):
+        assert main(["info"]) == 0
+    field = next(f for f in out.getvalue().split() if f.startswith("degrees="))
+    return field.removeprefix("degrees=")
 
 
 def test_classify_path3():
-    cls = path_graph(3).classify_biregular_bipartite()
-    assert cls == BiregularClassification(2, 1, (1,), (0, 2))
+    assert info_degrees(path_graph(3)) == "biregular(2,1)"
 
 
-def test_classify_cycle4_vertex0_side_first():
-    cls = cycle_graph(4).classify_biregular_bipartite()
-    assert cls is not None
-    assert (cls.a, cls.b) == (2, 2)
-    assert cls.side_a == (0, 2)
-    assert cls.side_b == (1, 3)
+def test_classify_cycle4():
+    assert info_degrees(cycle_graph(4)) == "regular(2)"
 
 
 def test_classify_star():
-    cls = star_graph(3).classify_biregular_bipartite()
-    assert cls == BiregularClassification(3, 1, (0,), (1, 2, 3))
+    assert info_degrees(star_graph(3)) == "biregular(3,1)"
 
 
 def test_classify_rejects_non_bipartite_and_degenerate():
-    assert cycle_graph(3).classify_biregular_bipartite() is None
-    assert cycle_graph(5).classify_biregular_bipartite() is None
-    assert complete_graph(4).classify_biregular_bipartite() is None
-    assert Multigraph(0).classify_biregular_bipartite() is None
-    assert Multigraph(3).classify_biregular_bipartite() is None
+    assert info_degrees(cycle_graph(3)) == "regular(2)"
+    assert info_degrees(cycle_graph(5)) == "regular(2)"
+    assert info_degrees(complete_graph(4)) == "regular(3)"
+    # K4 minus an edge: degrees 3 and 2, but the two degree-3 vertices meet
+    k4_minus_edge = graph_from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    assert info_degrees(k4_minus_edge) == "irregular(max=3,min=2)"
+    assert info_degrees(Multigraph(0)) == "empty"
+    assert info_degrees(Multigraph(3)) == "regular(0)"
 
 
 def test_classify_path4_nonuniform_sides():
-    # degrees 1,2,2,1 split across both color classes: no uniform reading
-    assert path_graph(4).classify_biregular_bipartite() is None
+    # degrees 1,2,2,1: the middle edge joins two degree-2 vertices
+    assert info_degrees(path_graph(4)) == "irregular(max=2,min=1)"
 
 
 def test_classify_counts_parallel_edges():
-    g = Multigraph(2, {(0, 1): 3})
-    cls = g.classify_biregular_bipartite()
-    assert cls == BiregularClassification(3, 3, (0,), (1,))
+    assert info_degrees(Multigraph(2, {(0, 1): 3})) == "regular(3)"
 
 
 def test_classify_family_B2():
-    cls = build_B(2).classify_biregular_bipartite()
-    assert cls is not None
-    assert (cls.a, cls.b) == (4, 3)
-    assert len(cls.side_a) == 6 and len(cls.side_b) == 8
-    assert cls.side_a == tuple(range(6))
+    assert info_degrees(build_B(2)) == "biregular(4,3)"
+
+
+def test_classify_family_H3():
+    # H3 has degrees 7 and 6 only, yet is not bipartite
+    assert info_degrees(build_H(3)) == "irregular(max=7,min=6)"
 
 
 def test_classify_edge_plus_isolated_has_no_reading():
-    # K2 + K1: the isolated vertex would force degree 0 onto a side that
-    # must also carry a degree-1 endpoint
+    # K2 + K1: the edge joins two degree-1 vertices, none of degree 0
     g = Multigraph(3, {(0, 1): 1})
-    assert g.classify_biregular_bipartite() is None
+    assert info_degrees(g) == "irregular(max=1,min=0)"
 
 
 def _oracle_biregular_pairs(g: Multigraph) -> set[tuple[int, int]]:
@@ -286,15 +289,11 @@ def _oracle_biregular_pairs(g: Multigraph) -> set[tuple[int, int]]:
     return out
 
 
-def _assert_classification_valid(g: Multigraph, cls: BiregularClassification) -> None:
-    side_a, side_b = set(cls.side_a), set(cls.side_b)
-    assert side_a | side_b == set(range(g.n))
-    assert not (side_a & side_b)
-    assert cls.a >= cls.b
-    assert {g.degree(v) for v in side_a} == {cls.a}
-    assert {g.degree(v) for v in side_b} == {cls.b}
-    for u, v in bundle_map(g):
-        assert (u in side_a) != (v in side_a)
+def _assert_info_matches_oracle(g: Multigraph) -> None:
+    # biregular(hi,lo) exactly when some 2-colouring has uniform sides hi != lo
+    readings = {f"biregular({a},{b})" for a, b in _oracle_biregular_pairs(g) if a != b}
+    shape = info_degrees(g)
+    assert readings == ({shape} if shape.startswith("biregular(") else set()), shape
 
 
 def _random_bipartite(rng: random.Random) -> Multigraph:
@@ -306,17 +305,19 @@ def _random_bipartite(rng: random.Random) -> Multigraph:
 
 
 def test_classify_matches_exhaustive_oracle_on_corpus():
-    # half arbitrary multigraphs, half bipartite-by-construction, 1000 total
+    # half arbitrary multigraphs, half bipartite-by-construction, 1000 total,
+    # then the seed-88 corpus
     for i in range(1000):
         rng = random.Random(derive_item_seed(101, i))
         g = random_multigraph(rng, max_n=9) if i % 2 else _random_bipartite(rng)
-        cls = g.classify_biregular_bipartite()
-        oracle = _oracle_biregular_pairs(g)
-        if cls is None:
-            assert not oracle, f"graph {i}: classifier missed {oracle}"
-        else:
-            _assert_classification_valid(g, cls)
-            assert (cls.a, cls.b) in oracle, f"graph {i}"
+        _assert_info_matches_oracle(g)
+    for g in random_graph_corpus(seed=CORPUS_SEED, count=500, max_n=12, max_support_edges=32):
+        _assert_info_matches_oracle(g)
+
+
+@given(small_multigraphs())
+def test_property_info_biregular_matches_oracle(g):
+    _assert_info_matches_oracle(g)
 
 
 # ------------------------------------------------------------------- MGF
