@@ -6,7 +6,7 @@ entry.  The module provides
 
 * `analyze` - one `MatchingAnalysis` per graph: a deterministic maximum
   matching, the deficiency and the Gallai-Edmonds D/A/C decomposition, from
-  one blossom solve plus one alternating forest,
+  one blossom solve plus one alternating forest, grown when first read,
 * `visit_maximum_matchings` - exhaustive enumeration of all maximum
   matchings of an analysed graph by branch-and-prune over an explicit
   stack, started from the analysis matching; each branch is checked by
@@ -20,7 +20,8 @@ entry.  The module provides
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Callable, Iterable, Optional
 
@@ -203,9 +204,13 @@ def _solve_matching(adj: list[tuple[int, ...]],
                     match[v] = w
                     match[w] = v
                     break
-    for root in range(n):
-        if alive[root] and match[root] == -1:
-            _augment_from(adj, alive, match, root)
+    # A failed root never ends a later augmenting path (Edmonds 1965), so
+    # the last exposed root, with no exposed vertex above it, is not searched.
+    roots = [v for v in range(n) if alive[v] and match[v] == -1]
+    left = len(roots)  # roots still exposed, from the current one up
+    for root in roots:
+        if match[root] == -1:
+            left -= 1 + (left > 1 and _augment_from(adj, alive, match, root))
     return match
 
 
@@ -276,7 +281,7 @@ def visit_maximum_matchings(analysis: MatchingAnalysis,
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     n = analysis.g.n
-    adj = analysis.g.support_adjacency()
+    adj = analysis._adj
     alive = [True] * n
     is_alive = alive.__getitem__
     chosen: list[tuple[int, int]] = []
@@ -430,17 +435,34 @@ class GallaiEdmonds:
 class MatchingAnalysis:
     """What one maximum matching of g determines: the deficiency and the
     Gallai-Edmonds decomposition.  Built once per graph by `analyze` and
-    handed to everything that needs them."""
+    handed to everything that needs them; `ge` is grown on first read."""
 
     g: Multigraph
     matching: Matching
     deficiency: int
-    ge: GallaiEdmonds
+    _adj: list[tuple[int, ...]] = field(compare=False, repr=False)
+    _match: list[int] = field(compare=False, repr=False)
+
+    @cached_property
+    def ge(self) -> GallaiEdmonds:
+        return _gallai_edmonds(self._adj, self._match)
 
 
 def analyze(g: Multigraph) -> MatchingAnalysis:
-    """One maximum matching, deterministic for a fixed graph, plus the D/A/C
-    decomposition, from one blossom solve and one alternating forest.
+    """One maximum matching, deterministic for a fixed graph, from one blossom
+    solve.  The D/A/C forest is grown on first read of `ge`, and here at
+    deficiency >= 2, where two trees can meet if the matching is not maximum."""
+    adj = g.support_adjacency()
+    match = _solve_matching(adj)
+    analysis = MatchingAnalysis(
+        g, _matching_from(match), g.n - 2 * _match_size(match), adj, match)
+    if analysis.deficiency >= 2:
+        analysis.ge
+    return analysis
+
+
+def _gallai_edmonds(adj: list[tuple[int, ...]], match: list[int]) -> GallaiEdmonds:
+    """D/A/C from the partner array of a maximum matching.
 
     Edmonds' search grows a tree from every exposed vertex at once,
     contracting blossoms, until no outer vertex has an unexplored edge; D
@@ -448,9 +470,7 @@ def analyze(g: Multigraph) -> MatchingAnalysis:
     outer vertices of different trees would close an augmenting path, so it
     raises: the matching was not maximum.
     """
-    n = g.n
-    adj = g.support_adjacency()
-    match = _solve_matching(adj)
+    n = len(adj)
     p = [-1] * n
     base = list(range(n))
     members: dict[int, list[int]] = {}
@@ -486,9 +506,7 @@ def analyze(g: Multigraph) -> MatchingAnalysis:
     d = {v for v in range(n) if outer[v]}
     a = {w for v in d for w in adj[v]} - d
     c = set(range(n)) - d - a
-    return MatchingAnalysis(
-        g=g, matching=_matching_from(match), deficiency=n - 2 * _match_size(match),
-        ge=GallaiEdmonds(d=frozenset(d), a=frozenset(a), c=frozenset(c)))
+    return GallaiEdmonds(d=frozenset(d), a=frozenset(a), c=frozenset(c))
 
 
 @dataclass(frozen=True)

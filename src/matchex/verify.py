@@ -16,12 +16,12 @@ question runs them before enumerating, the refutation modes once
 enumeration hits its cap); enumeration of maximum matchings is exact but
 capped, and starts from the analysis matching, so every decision makes
 exactly one blossom solve.  The enumerator is told which partial exposed
-sets already fix the verdict: SomePair and the question once two exposed
-vertices share a neighbor, AllPairs from the root when every pair of D
-does.  The matchings below such a branch are counted, by live-set memo,
-not checked one by one; `matchings_examined` still counts every one of
-them.  Every outcome is wrapped in a VerificationReport that records which
-method actually decided.
+sets already fix the verdict: every mode from the root when the strong
+certificate holds, else SomePair and the question once two exposed vertices
+share a neighbor.  The matchings below such a branch are counted, by
+live-set memo, not checked one by one; `matchings_examined` still counts
+every one of them.  Every outcome is wrapped in a VerificationReport that
+records which method actually decided.
 """
 
 from __future__ import annotations
@@ -263,10 +263,9 @@ def _decide(g: Multigraph, mode: Optional[PairMode], cap: int,
             witness=MatchingWitness(m, _exposed(m, vertices)),
             detail=(f"deficiency {defic} <= 1, no exposed pair can exist" if mode is None
                     else f"deficiency {defic} < 2, cannot be a counterexample"))
-    # SomePair needs the strong certificate only once enumeration hits its
-    # cap; the other modes need it before enumerating
-    strong = (None if mode is PairMode.SOME_PAIR
-              else strong_counterexample_certificate(analysis))
+    # one strong certificate per decision: it settles the walk from the
+    # root in every mode, and decides the refutation modes at the cap
+    strong = strong_counterexample_certificate(analysis)
     if mode is None:
         report = _certified(analysis, mode, classes, 0, strong)
         if report is not None:
@@ -320,8 +319,6 @@ def _decide(g: Multigraph, mode: Optional[PairMode], cap: int,
     if mode is None:
         detail = f"enumeration cap {cap} reached without a deciding matching"
     else:
-        if mode is PairMode.SOME_PAIR:
-            strong = strong_counterexample_certificate(analysis)
         report = _certified(analysis, mode, classes, stats.count, strong)
         if report is not None:
             return report
@@ -336,13 +333,13 @@ def _settled_predicate(analysis: MatchingAnalysis, mode: Optional[PairMode],
     """The `settled` hook `_decide` hands the enumerator: true on an exposed
     bitmask once `check` must accept every maximum matching exposing it.
 
-    A SomePair matching passes once two of its exposed vertices share a
-    neighbor, so the question and SomePair settle there.  An AllPairs
-    matching passes only when every exposed pair shares one, which no
-    partial exposed set shows; it is settled from the root when the strong
-    certificate holds (every pair of D shares one), and never otherwise.
+    When the strong certificate holds (every pair of D shares a neighbor),
+    every mode is settled from the root.  Otherwise a SomePair matching
+    passes once two of its exposed vertices share a neighbor, so the
+    question and SomePair settle there; an AllPairs matching passes only
+    when every exposed pair shares one, which no partial set shows.
     """
-    if mode is PairMode.ALL_PAIRS:
+    if strong is not None or mode is PairMode.ALL_PAIRS:
         return None if strong is None else (lambda exposed: True)
     g = analysis.g
     # Support-neighbor bitmasks, built on first use: the walk may touch few

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import conftest
 import matchex.matching as matching_mod
 from matchex import (
     Matching,
@@ -20,6 +21,7 @@ from matchex import (
     build_F,
     build_G,
     build_H,
+    conjecture_holds,
     derive_item_seed,
     random_regular_graph,
     tutte_berge_witness,
@@ -531,6 +533,72 @@ def test_gallai_edmonds_raises_on_non_maximum_matching(monkeypatch):
                         lambda adj, alive=None: [-1] * len(adj))
     with pytest.raises(RuntimeError, match="matching implementation is buggy"):
         analyze(path_graph(3))
+
+
+def _count_calls(monkeypatch, module, name):
+    """Patch `module.name` to count its calls; returns the one-element list
+    that holds the count."""
+    calls = [0]
+    fn = getattr(module, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _greedy_exposed(adj):
+    """How many vertices the solver's greedy warm start leaves exposed."""
+    match = [-1] * len(adj)
+    for v, nbrs in enumerate(adj):
+        if match[v] == -1:
+            for w in nbrs:
+                if match[w] == -1:
+                    match[v], match[w] = w, v
+                    break
+    return match.count(-1)
+
+
+def test_solve_skips_the_last_exposed_root(monkeypatch):
+    # A root whose search failed never ends a later augmenting path, so the
+    # last exposed root cannot augment and is not searched.  Of the k roots
+    # the greedy start leaves, (k - deficiency) / 2 are matched by an earlier
+    # root's search and never searched; the full scan searches the rest.
+    g = random_regular_graph(201, 4, 5, simple_only=False)
+    adj = g.support_adjacency()
+    k = _greedy_exposed(adj)
+    full = _count_calls(monkeypatch, conftest, "_full_scan_augment_from")
+    ref_match = full_scan_solve_matching(adj)
+    searches = _count_calls(monkeypatch, matching_mod, "_augment_from")
+    analysis = analyze(g)
+    assert analysis.deficiency == 1
+    assert analysis.matching.sorted_edges() == tuple(
+        (v, w) for v, w in enumerate(ref_match) if v < w)
+    assert k > 1
+    assert full[0] == (k + analysis.deficiency) // 2
+    assert searches[0] == full[0] - 1
+
+
+def test_short_circuit_grows_no_forest(monkeypatch):
+    g = random_regular_graph(201, 4, 5, simple_only=False)
+    forests = _count_calls(monkeypatch, matching_mod, "_gallai_edmonds")
+    assert conjecture_holds(g).method == "short-circuit"
+    analysis = analyze(g)
+    assert forests[0] == 0
+    assert analysis.ge == analysis.ge == deletion_gallai_edmonds(g)
+    assert forests[0] == 1
+
+
+def test_forest_grown_once_at_deficiency_two(monkeypatch):
+    # two trees can meet only from deficiency 2 on, so analyze grows the
+    # forest before returning, to raise on a matching that is not maximum
+    forests = _count_calls(monkeypatch, matching_mod, "_gallai_edmonds")
+    analysis = analyze(build_B(2))
+    assert (analysis.deficiency, forests[0]) == (2, 1)
+    assert analysis.ge == deletion_gallai_edmonds(build_B(2))
+    assert forests[0] == 1
 
 
 # -------------------------------------------------------------- Tutte-Berge

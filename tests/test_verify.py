@@ -486,6 +486,42 @@ def test_property_skipping_changes_no_report(g):
     _assert_skipping_changes_no_report(g, _sweep_caps(g))
 
 
+def test_F5_some_pair_settled_at_the_root_by_strong_certificate(monkeypatch):
+    # Every two triangle vertices of F5 share a hub, so every maximum matching
+    # passes SomePair: the walk counts the 4320 matchings below the root and
+    # visits the first, as AllPairs does (1540 searches each; checking every
+    # matching for a sharing pair took 5388).
+    searches, visits = [0], [0]
+    augment = matching_mod._augment_from
+    enumerate_all = verify_mod.visit_maximum_matchings
+
+    def counted_augment(*args):
+        searches[0] += 1
+        return augment(*args)
+
+    def counted_enumeration(analysis, visit, **kwargs):
+        def counted_visit(m):
+            visits[0] += 1
+            return visit(m)
+        return enumerate_all(analysis, counted_visit, **kwargs)
+
+    monkeypatch.setattr(matching_mod, "_augment_from", counted_augment)
+    monkeypatch.setattr(verify_mod, "visit_maximum_matchings", counted_enumeration)
+    cost = {}
+    for mode in (PairMode.ALL_PAIRS, PairMode.SOME_PAIR):
+        searches[0] = visits[0] = 0
+        report = is_counterexample(build_F(5), mode, cap=10**6)
+        cost[mode] = searches[0], visits[0]
+    assert (report.verdict, report.method, report.matchings_examined, report.exhaustive) == (
+        Verdict.COUNTEREXAMPLE, METHOD_ENUMERATION, 4320, True)
+    assert report.detail == "every maximum matching leaves a sharing exposed pair (4320 matchings)"
+    assert report.witness == MatchingWitness(
+        Matching([(0, 3), (1, 6), (2, 10), (4, 5), (7, 8), (9, 11), (13, 14), (16, 17)]),
+        (12, 15), (12, 15), 0)
+    assert cost[PairMode.SOME_PAIR][1] == 1
+    assert cost[PairMode.SOME_PAIR][0] <= cost[PairMode.ALL_PAIRS][0]
+
+
 def test_G4_some_pair_counts_settled_matchings(monkeypatch):
     searches, visits = [0], [0]
     augment = matching_mod._augment_from
