@@ -178,9 +178,7 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    highlight: frozenset[int] = frozenset()
-    if args.mark_exposed:
-        highlight = analyze(g).matching.unsaturated(frozenset(range(g.n)))
+    highlight = analyze(g).matching.exposed(g.n) if args.mark_exposed else ()
     export_dot(g, sys.stdout, highlight=highlight)
     return EXIT_OK
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .multigraph import Copy, Hub, Multigraph, Pair
+from .multigraph import MGF_MAX_VERTICES, Copy, Hub, Multigraph, Pair
 
 FAMILIES = ("B", "G", "H", "F")
 _MIN_R = {"B": 2, "G": 3, "H": 3, "F": 5}
@@ -32,7 +32,8 @@ _MIN_R = {"B": 2, "G": 3, "H": 3, "F": 5}
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Family identifier plus size parameter, validated on construction."""
+    """Family identifier plus size parameter, validated on construction: r is
+    at least the family's minimum, and the graph fits in MGF_MAX_VERTICES."""
 
     family: str
     r: int
@@ -43,6 +44,10 @@ class FamilySpec:
         if self.r < _MIN_R[self.family]:
             raise ValueError(
                 f"family {self.family} requires r >= {_MIN_R[self.family]}, got {self.r}")
+        n = expected_stats(self).vertex_count
+        if n > MGF_MAX_VERTICES:
+            raise ValueError(f"family {self.family} with r = {self.r} has {n} vertices, "
+                             f"more than the {MGF_MAX_VERTICES} an MGF file may hold")
 
 
 @dataclass(frozen=True)

@@ -29,33 +29,13 @@ from .multigraph import Multigraph
 
 
 class Matching:
-    """A set of vertex-disjoint support edges, stored as (u, v) with u < v."""
+    """A set of vertex-disjoint support edges (u, v), u < v, stored as given:
+    the caller guarantees that form, as the solver and the enumerator do."""
 
     __slots__ = ("_edges",)
 
     def __init__(self, edges: Iterable[tuple[int, int]]):
-        matched: set[int] = set()
-        normalized = []
-        for e in edges:
-            u, v = e
-            if u == v:
-                raise ValueError(f"matching edge {u}-{v} is a loop")
-            if u > v:
-                u, v = v, u
-            if u in matched or v in matched:
-                raise ValueError(f"matching edges are not vertex-disjoint at {u}-{v}")
-            matched.add(u)
-            matched.add(v)
-            normalized.append((u, v))
-        self._edges = frozenset(normalized)
-
-    @classmethod
-    def _trusted(cls, edges: frozenset[tuple[int, int]]) -> Matching:
-        """Matching from vertex-disjoint (u, v) edges with u < v, unchecked;
-        for callers that only build such edges."""
-        m = cls.__new__(cls)
-        m._edges = edges
-        return m
+        self._edges = frozenset(edges)
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -67,9 +47,9 @@ class Matching:
     def __len__(self) -> int:
         return len(self._edges)
 
-    def unsaturated(self, vertices: frozenset[int]) -> frozenset[int]:
-        """The members of `vertices` that the matching leaves exposed."""
-        return vertices.difference(chain.from_iterable(self._edges))
+    def exposed(self, n: int) -> tuple[int, ...]:
+        """The vertices 0..n-1 that the matching leaves exposed, ascending."""
+        return tuple(sorted(set(range(n)).difference(chain.from_iterable(self._edges))))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matching):
@@ -88,9 +68,9 @@ class Matching:
 #
 # Array-based augmenting search with cycle contraction, deterministic:
 # roots are tried in ascending id order and adjacency lists are sorted.
-# An `alive` mask lets callers delete vertices without rebuilding, and a
-# search augments the `match` array it is given in place, so the enumerator
-# searches from the maximum matching a branch already holds.
+# An `alive` mask lets the enumerator delete vertices without rebuilding,
+# and a search augments the `match` array it is given in place, so the
+# enumerator searches from the maximum matching a branch already holds.
 #
 # A contraction touches only the vertices it absorbs.  `members` maps each
 # base that heads a contracted blossom to the vertices it holds; a base
@@ -190,35 +170,33 @@ def _mark_path(match: list[int], p: list[int], base: list[int],
         v = p[match[v]]
 
 
-def _solve_matching(adj: list[tuple[int, ...]],
-                    alive: Optional[list[bool]] = None) -> list[int]:
-    """Maximum matching over the alive vertices; returns the partner array."""
+def _solve_matching(adj: list[tuple[int, ...]]) -> list[int]:
+    """Maximum matching of the graph; returns the partner array."""
     n = len(adj)
-    if alive is None:
-        alive = [True] * n
     match = [-1] * n
     for v in range(n):  # greedy warm start
-        if alive[v] and match[v] == -1:
+        if match[v] == -1:
             for w in adj[v]:
-                if alive[w] and match[w] == -1:
-                    match[v] = w
-                    match[w] = v
+                if match[w] == -1:
+                    match[v], match[w] = w, v
                     break
     # A failed root never ends a later augmenting path (Edmonds 1965), so
     # the last exposed root, with no exposed vertex above it, is not searched.
-    roots = [v for v in range(n) if alive[v] and match[v] == -1]
+    roots = [v for v in range(n) if match[v] == -1]
     left = len(roots)  # roots still exposed, from the current one up
+    alive = [True] * n
     for root in roots:
         if match[root] == -1:
             left -= 1 + (left > 1 and _augment_from(adj, alive, match, root))
     return match
 
 
-def _match_size(match: list[int]) -> int:
-    return sum(1 for v in match if v != -1) // 2
-
-
 def _matching_from(match: list[int]) -> Matching:
+    """The matching of a partner array, which must be symmetric."""
+    for v, w in enumerate(match):
+        if w != -1 and match[w] != v:
+            raise RuntimeError(f"partner array matches {v} to {w} but {w} to {match[w]}; "
+                               "matching implementation is buggy")
     return Matching((v, w) for v, w in enumerate(match) if v < w)
 
 
@@ -327,9 +305,7 @@ def visit_maximum_matchings(analysis: MatchingAnalysis,
     # node's live and exposed bitmasks, whether it is settled and the count
     # when it was pushed.
     stack: list[list] = []
-    hint = [-1] * n
-    for u, v in analysis.matching.edges:
-        hint[u], hint[v] = v, u
+    hint = analysis._match.copy()
     remaining = len(analysis.matching)
     start = 0
     while True:
@@ -343,7 +319,7 @@ def visit_maximum_matchings(analysis: MatchingAnalysis,
                 skip = calm or settled(exposed | live)
             else:
                 skip = False
-            if not skip and visit(Matching._trusted(frozenset(chosen))) is False:
+            if not skip and visit(Matching(chosen)) is False:
                 return EnumerationStats(count=count, exhaustive=False)
         else:
             # Vertices below the parent's v are dead, and stay so.
@@ -454,8 +430,8 @@ def analyze(g: Multigraph) -> MatchingAnalysis:
     deficiency >= 2, where two trees can meet if the matching is not maximum."""
     adj = g.support_adjacency()
     match = _solve_matching(adj)
-    analysis = MatchingAnalysis(
-        g, _matching_from(match), g.n - 2 * _match_size(match), adj, match)
+    matching = _matching_from(match)
+    analysis = MatchingAnalysis(g, matching, g.n - 2 * len(matching), adj, match)
     if analysis.deficiency >= 2:
         analysis.ge
     return analysis

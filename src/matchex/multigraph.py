@@ -182,10 +182,10 @@ class Multigraph:
                     yield u, v, self._adj[u][v]
 
     def support_edge_count(self) -> int:
-        return sum(1 for _ in self.bundles())
+        return sum(map(len, self._adj)) // 2
 
     def weighted_edge_count(self) -> int:
-        return sum(m for _, _, m in self.bundles())
+        return sum(sum(nbrs.values()) for nbrs in self._adj) // 2
 
     # -- labels --------------------------------------------------------
 

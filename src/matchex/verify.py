@@ -119,11 +119,6 @@ class _SmallestCommonNeighbor(dict):
         return common
 
 
-def _exposed(m: Matching, vertices: frozenset[int]) -> tuple[int, ...]:
-    """The vertices m leaves exposed, ascending; `vertices` is all of g."""
-    return tuple(sorted(m.unsaturated(vertices)))
-
-
 def _sharing_pair(exposed: Sequence[int],
                   common: _SmallestCommonNeighbor) -> Optional[tuple[tuple[int, int], int]]:
     """First exposed pair (ascending) with a common neighbor, plus the
@@ -255,12 +250,11 @@ def _decide(g: Multigraph, mode: Optional[PairMode], cap: int,
         raise ValueError(f"cap must be >= 1, got {cap}")
     analysis = analyze(g)
     defic = analysis.deficiency
-    vertices = frozenset(range(g.n))
     if defic < 2:
         m = analysis.matching
         return VerificationReport(
             verdict=Verdict.HOLDS, method=METHOD_SHORT_CIRCUIT,
-            witness=MatchingWitness(m, _exposed(m, vertices)),
+            witness=MatchingWitness(m, m.exposed(g.n)),
             detail=(f"deficiency {defic} <= 1, no exposed pair can exist" if mode is None
                     else f"deficiency {defic} < 2, cannot be a counterexample"))
     # one strong certificate per decision: it settles the walk from the
@@ -275,7 +269,7 @@ def _decide(g: Multigraph, mode: Optional[PairMode], cap: int,
     common = _SmallestCommonNeighbor(g)
 
     def check(m: Matching) -> bool:
-        exposed = _exposed(m, vertices)
+        exposed = m.exposed(g.n)
         if mode is PairMode.ALL_PAIRS:
             miss = _lonely_pair(exposed, common)
             if miss is not None:
@@ -304,9 +298,8 @@ def _decide(g: Multigraph, mode: Optional[PairMode], cap: int,
     if stats.exhaustive:
         witness = sample[0]
         if mode is None:
-            m = analysis.matching
-            exposed = _exposed(m, vertices)
-            witness = MatchingWitness(m, exposed, *_sharing_pair(exposed, common))
+            exposed = analysis.matching.exposed(g.n)
+            witness = MatchingWitness(analysis.matching, exposed, *_sharing_pair(exposed, common))
             detail = f"all {stats.count} maximum matchings leave a sharing exposed pair"
         elif mode is PairMode.SOME_PAIR:
             detail = f"every maximum matching leaves a sharing exposed pair ({stats.count} matchings)"

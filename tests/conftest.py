@@ -23,7 +23,6 @@ from matchex.matching import (
     EnumerationStats,
     Matching,
     _augment_from,
-    _match_size,
     _solve_matching,
 )
 
@@ -254,19 +253,24 @@ def brute_force_all_maximum_matchings(g: Multigraph) -> set[Matching]:
     return {Matching(edges) for edges in found}
 
 
+def match_size(match: list[int]) -> int:
+    """Number of edges in a partner array."""
+    return (len(match) - match.count(-1)) // 2
+
+
 def deletion_gallai_edmonds(g: Multigraph) -> GallaiEdmonds:
     """Reference decomposition by the deletion oracle: v is in D iff
-    deleting v leaves the matching number unchanged (n+1 blossom solves)."""
+    deleting v leaves the matching number unchanged (n+1 blossom solves,
+    each of g - v on the adjacency it induces)."""
     n = g.n
     adj = g.support_adjacency()
-    nu = _match_size(_solve_matching(adj))
+    nu = match_size(_solve_matching(adj))
     d: set[int] = set()
-    alive = [True] * n
     for v in range(n):
-        alive[v] = False
-        if _match_size(_solve_matching(adj, alive)) == nu:
+        without_v = [() if u == v else tuple(w for w in nbrs if w != v)
+                     for u, nbrs in enumerate(adj)]
+        if match_size(_solve_matching(without_v)) == nu:
             d.add(v)
-        alive[v] = True
     a = {w for v in d for w in adj[v]} - d
     c = set(range(n)) - d - a
     return GallaiEdmonds(d=frozenset(d), a=frozenset(a), c=frozenset(c))
@@ -348,23 +352,27 @@ def _full_scan_augment_from(adj: list[tuple[int, ...]], alive: list[bool],
     return False
 
 
-def full_scan_solve_matching(adj: list[tuple[int, ...]],
-                             alive: Optional[list[bool]] = None) -> list[int]:
-    """Partner array of `_solve_matching` (greedy warm start, then one
-    search per exposed root, ascending) with full-scan contraction."""
-    n = len(adj)
-    if alive is None:
-        alive = [True] * n
-    match = [-1] * n
-    for v in range(n):  # greedy warm start
+def greedy_matching(adj: list[tuple[int, ...]], alive: list[bool]) -> list[int]:
+    """Partner array of the solver's greedy warm start over the alive
+    vertices: each in turn takes its first free alive neighbour."""
+    match = [-1] * len(adj)
+    for v, nbrs in enumerate(adj):
         if alive[v] and match[v] == -1:
-            for w in adj[v]:
+            for w in nbrs:
                 if alive[w] and match[w] == -1:
                     match[v] = w
                     match[w] = v
                     break
-    for root in range(n):
-        if alive[root] and match[root] == -1:
+    return match
+
+
+def full_scan_solve_matching(adj: list[tuple[int, ...]]) -> list[int]:
+    """Partner array of `_solve_matching` (greedy warm start, then one
+    search per exposed root, ascending) with full-scan contraction."""
+    alive = [True] * len(adj)
+    match = greedy_matching(adj, alive)
+    for root in range(len(adj)):
+        if match[root] == -1:
             _full_scan_augment_from(adj, alive, match, root)
     return match
 
@@ -412,7 +420,7 @@ def full_scan_analyze(g: Multigraph) -> tuple[list[int], int, GallaiEdmonds]:
     d = {v for v in range(n) if outer[v]}
     a = {w for v in d for w in adj[v]} - d
     c = set(range(n)) - d - a
-    return match, n - 2 * _match_size(match), GallaiEdmonds(
+    return match, n - 2 * match_size(match), GallaiEdmonds(
         d=frozenset(d), a=frozenset(a), c=frozenset(c))
 
 
@@ -436,7 +444,7 @@ def reference_visit_maximum_matchings(
     n = g.n
     adj = g.support_adjacency()
     base = _solve_matching(adj)
-    target = _match_size(base)
+    target = match_size(base)
     alive = [True] * n
     chosen: list[tuple[int, int]] = []
     state = {"count": 0, "stopped": False}

@@ -176,7 +176,7 @@ def test_criterion_7_saturation_claims():
         assert set(s) & analyze(g).ge.d == set()
         found, stats = collect_maximum_matchings(g, cap=25_000)
         assert stats.exhaustive
-        assert [m for m in found if m.unsaturated(s)] == []
+        assert [m for m in found if not s.isdisjoint(m.exposed(g.n))] == []
 
 
 @criterion(8, "oracle-equivalence")

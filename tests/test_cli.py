@@ -105,6 +105,19 @@ def test_build_rejects_small_r(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("family, r", [("G", 166666), ("G", 10**9), ("B", 501), ("F", 333333)])
+def test_build_rejects_r_beyond_the_mgf_vertex_limit(capsys, monkeypatch, family, r):
+    # rejected from the closed-form size, before any vertex is built
+    def refuse(spec):
+        raise AssertionError(f"built {spec}")
+
+    monkeypatch.setattr("matchex.families.build_family", refuse)
+    code, out, err = run_cli(["build", "--family", family, "--r", str(r)], capsys)
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert f"more than the {multigraph_mod.MGF_MAX_VERTICES} an MGF file may hold" in err
+
+
 def test_build_rejects_unknown_family(capsys):
     code, _, err = run_cli(["build", "--family", "Q", "--r", "3"], capsys)
     assert code == EXIT_ERROR
@@ -254,6 +267,19 @@ def test_verify_crash_is_internal_error_not_verdict(capsys, monkeypatch):
     assert code == EXIT_INTERNAL
     assert out == ""
     assert "internal error: RecursionError: maximum recursion depth exceeded" in err
+
+
+@pytest.mark.parametrize("mode", ["conjecture", "some-pair", "all-pairs"])
+def test_verify_asymmetric_partner_array_is_internal_error(capsys, monkeypatch, mode):
+    # the solver's partner array is checked before any verdict is read off
+    # it: vertex 1 matched by both 0 and 2 would otherwise read as a perfect
+    # matching of path 0-1-2-3 and exit 0
+    monkeypatch.setattr(matching_mod, "_solve_matching", lambda adj: [1, 2, 1, -1])
+    code, out, err = run_cli(["verify", "--mode", mode], capsys, monkeypatch,
+                             stdin_text=serialize_mgf(path_graph(4)))
+    assert code == EXIT_INTERNAL
+    assert "verdict=" not in out
+    assert "matching implementation is buggy" in err
 
 
 def test_verify_bad_cap(capsys, monkeypatch):

@@ -21,6 +21,7 @@ from matchex import (
     expected_stats,
     serialize_mgf,
 )
+from matchex.multigraph import MGF_MAX_VERTICES
 
 from conftest import bundle_map, degree_profile
 
@@ -43,6 +44,17 @@ def test_family_spec_validation():
         FamilySpec(fam, min_r)  # smallest admissible r is fine
         with pytest.raises(ValueError):
             FamilySpec(fam, min_r - 1)
+
+
+@pytest.mark.parametrize("fam, max_r", [("B", 500), ("G", 166665), ("H", 166665),
+                                         ("F", 333332)])
+def test_family_spec_rejects_r_beyond_the_mgf_vertex_limit(fam, max_r):
+    # checked from the closed form, so nothing here builds a graph
+    assert expected_stats(FamilySpec(fam, max_r)).vertex_count <= MGF_MAX_VERTICES
+    with pytest.raises(ValueError, match=f"more than the {MGF_MAX_VERTICES}"):
+        FamilySpec(fam, max_r + 1)
+    with pytest.raises(ValueError, match=f"more than the {MGF_MAX_VERTICES}"):
+        FamilySpec(fam, 10**9)
 
 
 @pytest.mark.parametrize(

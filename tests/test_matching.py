@@ -42,6 +42,7 @@ from conftest import (
     full_scan_analyze,
     full_scan_solve_matching,
     graph_from_edges,
+    greedy_matching,
     path_graph,
     petersen_graph,
     random_graph_corpus,
@@ -53,29 +54,21 @@ from conftest import (
 # ---------------------------------------------------------- Matching class
 
 
-def test_matching_normalizes_and_validates():
-    m = Matching([(2, 1), (0, 3)])
+def test_matching_equality_and_hash():
+    m = Matching([(1, 2), (0, 3)])
     assert m.sorted_edges() == ((0, 3), (1, 2))
     assert len(m) == 2
-    assert m.unsaturated(frozenset({3, 4})) == {4}
-    with pytest.raises(ValueError):
-        Matching([(1, 1)])
-    with pytest.raises(ValueError):
-        Matching([(0, 1), (1, 2)])
-
-
-def test_matching_equality_and_hash():
-    assert Matching([(1, 0)]) == Matching([(0, 1)])
-    assert len({Matching([(0, 1)]), Matching([(1, 0)])}) == 1
+    assert m == Matching([(0, 3), (1, 2)])
+    assert len({m, Matching([(0, 3), (1, 2)])}) == 1
     assert Matching([]) != Matching([(0, 1)])
     assert Matching([]) != "something else"
 
 
 def test_exposed_vertices():
-    g = path_graph(3)
-    vertices = frozenset(range(g.n))
-    assert Matching([(0, 1)]).unsaturated(vertices) == {2}
-    assert Matching([]).unsaturated(vertices) == {0, 1, 2}
+    assert Matching([(0, 1)]).exposed(3) == (2,)
+    assert Matching([]).exposed(3) == (0, 1, 2)
+    assert Matching([(1, 4), (0, 3)]).exposed(6) == (2, 5)
+    assert Matching([]).exposed(0) == ()
 
 
 # ------------------------------------------------------------- known values
@@ -322,7 +315,6 @@ def test_settled_masks_are_exposed_by_the_matchings_below():
     # The last mask handed to `settled` before a matching is delivered is
     # part of that matching's exposed set, and all of it after the first.
     g = build_G(3)
-    universe = frozenset(range(g.n))
     asked = []
 
     def settled(exposed):
@@ -330,7 +322,7 @@ def test_settled_masks_are_exposed_by_the_matchings_below():
         return False
 
     def visit(m):
-        mask = sum(1 << v for v in m.unsaturated(universe))
+        mask = sum(1 << v for v in m.exposed(g.n))
         if seen:
             assert asked[-1] == mask
         else:
@@ -349,14 +341,13 @@ def test_property_settled_skips_exactly_the_settled_matchings(g, x, cap):
     # first matching and then exactly those that leave x matched, and counts
     # the rest: the same stats at every cap.
     ref, ref_stats = _visit_trace(reference_visit_maximum_matchings, g, cap)
-    universe = frozenset(range(g.n))
     seen = []
     stats = visit_maximum_matchings(
         analyze(g), lambda m: seen.append(m.sorted_edges()), cap=cap,
         settled=lambda exposed: exposed >> x & 1 == 1)
     assert stats == ref_stats
     expect = ref[:1] + [edges for edges in ref[1:]
-                        if x not in Matching(edges).unsaturated(universe)]
+                        if x not in Matching(edges).exposed(g.n)]
     assert seen == expect
 
 
@@ -380,14 +371,31 @@ def test_contraction_matches_full_scan_on_acceptance_corpus():
                                  max_n=12, max_support_edges=32)
     for g in corpus:
         _assert_same_as_full_scan(g)
-        # one deleted vertex at a time: the masked searches of the enumerator
+
+
+def test_masked_search_matches_full_scan_on_acceptance_corpus():
+    # The enumerator searches with dead vertices masked out: from the greedy
+    # matching of a random alive set, every exposed alive root's search must
+    # find, and leave behind, what the full-scan search does.
+    corpus = random_graph_corpus(seed=CORPUS_SEED, count=500,
+                                 max_n=12, max_support_edges=32)
+    searches = augmented = 0
+    for i, g in enumerate(corpus):
+        rng = random.Random(derive_item_seed(CORPUS_SEED, i))
         adj = g.support_adjacency()
-        alive = [True] * g.n
-        for v in range(g.n):
-            alive[v] = False
-            assert (matching_mod._solve_matching(adj, alive)
-                    == full_scan_solve_matching(adj, alive))
-            alive[v] = True
+        for _ in range(3):
+            alive = [rng.random() < 0.75 for _ in range(g.n)]
+            match = greedy_matching(adj, alive)
+            ref = match.copy()
+            for root in range(g.n):
+                if alive[root] and match[root] == -1:
+                    found = matching_mod._augment_from(adj, alive, match, root)
+                    assert found == conftest._full_scan_augment_from(adj, alive, ref, root)
+                    assert match == ref
+                    assert all(match[v] == -1 for v in range(g.n) if not alive[v])
+                    searches += 1
+                    augmented += found
+    assert searches > 1000 and augmented > 100
 
 
 @given(small_multigraphs())
@@ -449,7 +457,7 @@ def test_gallai_edmonds_partition_and_exposure_on_corpus():
         exposable = set()
         for m in found:
             assert bundle_map(g).keys() >= m.edges
-            exposable |= m.unsaturated(frozenset(range(g.n)))
+            exposable.update(m.exposed(g.n))
         assert ge.d == frozenset(exposable)
 
 
@@ -529,10 +537,26 @@ def test_gallai_edmonds_long_path():
 def test_gallai_edmonds_raises_on_non_maximum_matching(monkeypatch):
     # an empty "maximum" matching leaves both ends of every edge exposed,
     # so the forest meets an outer-outer edge between two trees
-    monkeypatch.setattr(matching_mod, "_solve_matching",
-                        lambda adj, alive=None: [-1] * len(adj))
+    monkeypatch.setattr(matching_mod, "_solve_matching", lambda adj: [-1] * len(adj))
     with pytest.raises(RuntimeError, match="matching implementation is buggy"):
         analyze(path_graph(3))
+
+
+ASYMMETRIC_PARTNER_ARRAYS = [
+    # 1 is claimed by both 0 and 2; read edge by edge, this would be a
+    # perfect "matching" of two edges sharing vertex 1
+    (path_graph(4), [1, 2, 1, -1]),
+    # 0 points at 1, which points nowhere: deficiency 1, so no forest is
+    # grown to notice it
+    (path_graph(3), [1, -1, -1]),
+]
+
+
+@pytest.mark.parametrize("g, match", ASYMMETRIC_PARTNER_ARRAYS)
+def test_analyze_raises_on_asymmetric_partner_array(monkeypatch, g, match):
+    monkeypatch.setattr(matching_mod, "_solve_matching", lambda adj: list(match))
+    with pytest.raises(RuntimeError, match="matching implementation is buggy"):
+        analyze(g)
 
 
 def _count_calls(monkeypatch, module, name):
@@ -549,18 +573,6 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def _greedy_exposed(adj):
-    """How many vertices the solver's greedy warm start leaves exposed."""
-    match = [-1] * len(adj)
-    for v, nbrs in enumerate(adj):
-        if match[v] == -1:
-            for w in nbrs:
-                if match[w] == -1:
-                    match[v], match[w] = w, v
-                    break
-    return match.count(-1)
-
-
 def test_solve_skips_the_last_exposed_root(monkeypatch):
     # A root whose search failed never ends a later augmenting path, so the
     # last exposed root cannot augment and is not searched.  Of the k roots
@@ -568,7 +580,7 @@ def test_solve_skips_the_last_exposed_root(monkeypatch):
     # root's search and never searched; the full scan searches the rest.
     g = random_regular_graph(201, 4, 5, simple_only=False)
     adj = g.support_adjacency()
-    k = _greedy_exposed(adj)
+    k = greedy_matching(adj, [True] * g.n).count(-1)  # roots the greedy start leaves
     full = _count_calls(monkeypatch, conftest, "_full_scan_augment_from")
     ref_match = full_scan_solve_matching(adj)
     searches = _count_calls(monkeypatch, matching_mod, "_augment_from")
@@ -694,9 +706,7 @@ def test_hall_violator_matches_saturation_semantics():
         w = _hall_violator(g, side)
         found, stats = collect_maximum_matchings(g)
         assert stats.exhaustive
-        always_saturated = all(
-            not m.unsaturated(frozenset(side)) for m in found
-        )
+        always_saturated = all(side.isdisjoint(m.exposed(g.n)) for m in found)
         assert (not w) == always_saturated
         if w:
             assert w <= side

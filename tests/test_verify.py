@@ -354,7 +354,7 @@ def _exposing_matchings(g, s):
     """The maximum matchings of g that leave some vertex of s exposed."""
     found, stats = collect_maximum_matchings(g)
     assert stats.exhaustive
-    return [m for m in found if m.unsaturated(frozenset(s))]
+    return [m for m in found if not set(s).isdisjoint(m.exposed(g.n))]
 
 
 def test_saturate_B2_sides():
