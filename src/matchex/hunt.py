@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
-from .multigraph import Multigraph, serialize_mgf
+from .multigraph import MGF_MAX_VERTICES, Multigraph, serialize_mgf
 from .verify import DEFAULT_CAP, Verdict, conjecture_holds
 
 DEFAULT_RETRY_BUDGET = 10_000
@@ -80,38 +80,62 @@ def random_regular_graph(n: int, degree: int, seed: int, *,
     rng = random.Random(seed)
     if n == 0 or degree == 0:
         return Multigraph(n)
-    stubs = [v for v in range(n) for _ in range(degree)]
+    stubs = [0] * (n * degree)  # degree stubs per vertex, ascending
+    for k in range(degree):
+        stubs[k::degree] = range(n)
     last = len(stubs) - 1
     # stub i draws its partner j uniformly from [i+1, last] by rejection on
-    # getrandbits, which is exact and keeps to the public Random API
-    steps = [(i, last - i, (last - i).bit_length()) for i in range(0, last, 2)]
+    # getrandbits, which is exact and keeps to the public Random API; step
+    # i holds (i, i + 1, last - i, bit length of last - i)
+    spans = range(last, 0, -2)
+    steps = list(zip(range(0, last, 2), range(1, last + 1, 2), spans,
+                     map(int.bit_length, spans)))
     getrandbits = rng.getrandbits
-    for _ in range(max_retries):
-        seen: set[int] = set()
-        for i, span, bits in steps:
-            j = getrandbits(bits)
-            while j >= span:
+    # one loop per mode, so a step tests only what its mode rejects
+    if simple_only:
+        for _ in range(max_retries):
+            seen: set[int] = set()
+            add = seen.add
+            for i, i1, span, bits in steps:
                 j = getrandbits(bits)
-            j += i + 1
-            u, v = stubs[i], stubs[j]
-            stubs[j] = stubs[i + 1]
-            stubs[i + 1] = v
-            if u == v:
-                break
-            if simple_only:
+                while j >= span:
+                    j = getrandbits(bits)
+                j += i1
+                u = stubs[i]
+                v = stubs[j]
+                stubs[j] = stubs[i1]
+                stubs[i1] = v
+                if u == v:
+                    break
                 key = u * n + v if u < v else v * n + u
                 if key in seen:
                     break
-                seen.add(key)
-        else:
-            counts: dict[tuple[int, int], int] = {}
-            for u, v in zip(stubs[0::2], stubs[1::2]):
-                key = (u, v) if u < v else (v, u)
-                counts[key] = counts.get(key, 0) + 1
-            return Multigraph(n, counts)
+                add(key)
+            else:
+                return _graph_of_pairing(n, stubs)
+    else:
+        for _ in range(max_retries):
+            for i, i1, span, bits in steps:
+                j = getrandbits(bits)
+                while j >= span:
+                    j = getrandbits(bits)
+                j += i1
+                v = stubs[j]
+                stubs[j] = stubs[i1]
+                stubs[i1] = v
+                if stubs[i] == v:
+                    break
+            else:
+                return _graph_of_pairing(n, stubs)
     raise GenerationError(
         f"no acceptable {degree}-regular pairing on {n} vertices "
         f"in {max_retries} attempts")
+
+
+def _graph_of_pairing(n: int, stubs: list[int]) -> Multigraph:
+    """The graph whose edges pair stub 2k with stub 2k + 1."""
+    return Multigraph(n, Counter([(u, v) if u < v else (v, u)
+                                  for u, v in zip(stubs[0::2], stubs[1::2])]))
 
 
 @dataclass(frozen=True)
@@ -125,15 +149,22 @@ class HuntConfig:
     cap: int = DEFAULT_CAP
     max_retries: int = DEFAULT_RETRY_BUDGET
 
-    def feasible_sizes(self) -> tuple[int, ...]:
+    def feasible_sizes(self) -> range:
+        """Vertex counts a hunt may draw, ascending: n * degree even, and
+        n > degree for simple graphs or n >= 2 for multigraphs."""
         lo = max(self.n_min, self.degree + 1) if self.simple_only else max(self.n_min, 2)
-        return tuple(n for n in range(lo, self.n_max + 1) if (n * self.degree) % 2 == 0)
+        if self.degree % 2 == 0:
+            return range(lo, self.n_max + 1)
+        return range(lo + lo % 2, self.n_max + 1, 2)
 
     def validate(self) -> None:
         if self.degree < 1:
             raise ValueError(f"degree must be >= 1, got {self.degree}")
         if self.n_min > self.n_max:
             raise ValueError(f"need n_min <= n_max, got [{self.n_min}, {self.n_max}]")
+        if self.n_max > MGF_MAX_VERTICES:
+            raise ValueError(f"n_max must be <= {MGF_MAX_VERTICES}, the most vertices "
+                             f"an MGF file may hold, got {self.n_max}")
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
         if self.cap < 1:
@@ -226,6 +257,8 @@ def hunt(config: HuntConfig, workers: int = 1) -> HuntSummary:
     if workers == 1:
         items = [_run_item(config, i) for i in indices]
     else:
+        # imported here, so only a pooled hunt loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             items = list(pool.map(partial(_run_item, config), indices, chunksize=16))
     return HuntSummary(config=config, items=tuple(items))

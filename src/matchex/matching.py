@@ -237,8 +237,10 @@ def visit_maximum_matchings(analysis: MatchingAnalysis,
     `hint` already left exposed would augment `hint` itself (Edmonds 1965).
     So one single-root search per freed partner, at most two per branch,
     decides feasibility exactly, and the walk starts from the analysis
-    matching without solving again.  Since feasibility is exact, the order
-    depends on g alone, not on which maximum matching it starts from.
+    matching without solving again.  A branch that needs more edges than
+    half the live vertices fails without a search, since that search must
+    fail.  Since feasibility is exact, the order depends on g alone, not
+    on which maximum matching it starts from.
 
     `settled`, for callers inside the package, takes the bitmask of the
     vertices a branch already leaves exposed: those it branched as exposed
@@ -262,15 +264,16 @@ def visit_maximum_matchings(analysis: MatchingAnalysis,
     adj = analysis._adj
     alive = [True] * n
     is_alive = alive.__getitem__
+    live_count = n  # vertices alive
     chosen: list[tuple[int, int]] = []
     count = 0
     memo: dict[int, int] = {}  # live bitmask -> maximum matchings below it
 
-    def residual(hint: list[int], v: int, w: int) -> Optional[list[int]]:
+    def residual(hint: list[int], v: int, w: int, need: int) -> Optional[list[int]]:
         # Maximum matching of the live graph once v, and w when the branch
-        # matches v-w (w >= 0), are dead; None when it falls short of what
-        # the branch needs.  Live vertices of a returned array are matched
-        # only to live ones; entries of dead vertices are stale.
+        # matches v-w (w >= 0), are dead; None when it has fewer than the
+        # `need` edges the branch needs.  Live vertices of a returned array
+        # are matched only to live ones; entries of dead vertices are stale.
         if hint[v] == w:  # v exposed (w == -1), or v-w already in hint
             return hint
         m2 = hint.copy()
@@ -282,6 +285,8 @@ def visit_maximum_matchings(analysis: MatchingAnalysis,
                 freed.append(px)
         if w >= 0 and len(freed) < 2:  # the v-w branch may lose one edge
             return m2
+        if 2 * need > live_count:  # too few live vertices: every search fails
+            return None
         for root in freed:
             if _augment_from(adj, alive, m2, root):
                 return m2
@@ -330,6 +335,7 @@ def visit_maximum_matchings(analysis: MatchingAnalysis,
                     if any(map(is_alive, adj[v])):
                         break
                     alive[v] = False
+                    live_count -= 1
                     isolated |= 1 << v
                 v += 1
             known = marks = None
@@ -344,7 +350,8 @@ def visit_maximum_matchings(analysis: MatchingAnalysis,
             if known is None:
                 stack.append([v, hint, remaining, 0, isolated, marks])
                 alive[v] = False
-                m2 = residual(hint, v, -1)
+                live_count -= 1
+                m2 = residual(hint, v, -1, remaining)
                 if m2 is not None:
                     hint, start = m2, v + 1
                     continue
@@ -354,6 +361,7 @@ def visit_maximum_matchings(analysis: MatchingAnalysis,
                     return EnumerationStats(count=cap, exhaustive=False)
                 count += known
                 _revive(alive, isolated)
+                live_count += isolated.bit_count()
         while stack:
             frame = stack[-1]
             v, hint, remaining, j, isolated, marks = frame
@@ -361,19 +369,24 @@ def visit_maximum_matchings(analysis: MatchingAnalysis,
             if j:
                 w = nbrs[j - 1]
                 alive[w] = True
+                live_count += 1
                 chosen.pop()
             for j in range(j, len(nbrs)):
                 w = nbrs[j]
                 if alive[w]:
                     alive[w] = False
-                    m2 = residual(hint, v, w)
+                    live_count -= 1
+                    m2 = residual(hint, v, w, remaining - 1)
                     if m2 is not None:
                         break
                     alive[w] = True
+                    live_count += 1
             else:
                 alive[v] = True
+                live_count += 1
                 if isolated:
                     _revive(alive, isolated)
+                    live_count += isolated.bit_count()
                 stack.pop()
                 if marks is not None and marks[2]:
                     memo[marks[0]] = count - marks[3]

@@ -132,10 +132,14 @@ class Multigraph:
             raise ValueError(f"vertex count must be >= 0, got {n}")
         self._n = n
         # neighbor -> bundle multiplicity, kept symmetric
-        self._adj: list[dict[int, int]] = [dict() for _ in range(n)]
+        self._adj: list[dict[int, int]] = [{} for _ in range(n)]
         adj = self._adj
         for (u, v), m in bundles.items():
-            _check_bundle(u, v, m, n)
+            # the inline test passes only bundles _check_bundle accepts and
+            # cannot raise; the rest get its exact verdict and message
+            if not (type(u) is int and type(v) is int and 0 <= u < v < n
+                    and type(m) is int and m >= 1):
+                _check_bundle(u, v, m, n)
             adj[u][v] = m
             adj[v][u] = m
         self._labels: dict[int, VertexLabel] = {}
@@ -172,7 +176,7 @@ class Multigraph:
 
     def support_adjacency(self) -> list[tuple[int, ...]]:
         """Distinct neighbors of every vertex, ascending, indexed by vertex."""
-        return [tuple(sorted(nbrs)) for nbrs in self._adj]
+        return list(map(tuple, map(sorted, self._adj)))
 
     def bundles(self) -> Iterator[tuple[int, int, int]]:
         """Yield (u, v, multiplicity) with u < v, ascending."""

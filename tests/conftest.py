@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 from matchex import (
     DegreeProfile,
     GallaiEdmonds,
+    GenerationError,
     Multigraph,
     analyze,
     derive_item_seed,
     visit_maximum_matchings,
 )
+from matchex.hunt import DEFAULT_RETRY_BUDGET
 from matchex.matching import (
     EnumerationStats,
     Matching,
@@ -516,3 +518,61 @@ def collect_maximum_matchings(
     found: list[Matching] = []
     stats = visit_maximum_matchings(analyze(g), lambda m: found.append(m) or True, cap=cap)
     return found, stats
+
+
+# -- reference sampler -------------------------------------------------------
+
+
+def reference_random_regular_graph(n: int, degree: int, seed: int, *,
+                                   simple_only: bool = True,
+                                   max_retries: int = DEFAULT_RETRY_BUDGET) -> Multigraph:
+    """Reference sampler: the one-loop `random_regular_graph` that the
+    per-mode pairing loops replaced, kept verbatim.  Both modes share one
+    step loop that tests `simple_only` at every step; the draws, the stub
+    swaps and the accepted pairings are the ones the sampler must make."""
+    if n < 0:
+        raise ValueError(f"vertex count must be >= 0, got {n}")
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
+    if (n * degree) % 2 != 0:
+        raise ValueError(f"n * degree must be even, got {n} * {degree}")
+    if degree > 0:
+        if simple_only and degree >= n:
+            raise ValueError(f"simple {degree}-regular graph needs n > degree, got n={n}")
+        if not simple_only and n < 2:
+            raise ValueError(f"{degree}-regular graph needs n >= 2, got n={n}")
+    if max_retries < 1:
+        raise ValueError(f"max_retries must be >= 1, got {max_retries}")
+    rng = random.Random(seed)
+    if n == 0 or degree == 0:
+        return Multigraph(n)
+    stubs = [v for v in range(n) for _ in range(degree)]
+    last = len(stubs) - 1
+    steps = [(i, last - i, (last - i).bit_length()) for i in range(0, last, 2)]
+    getrandbits = rng.getrandbits
+    for _ in range(max_retries):
+        seen: set[int] = set()
+        for i, span, bits in steps:
+            j = getrandbits(bits)
+            while j >= span:
+                j = getrandbits(bits)
+            j += i + 1
+            u, v = stubs[i], stubs[j]
+            stubs[j] = stubs[i + 1]
+            stubs[i + 1] = v
+            if u == v:
+                break
+            if simple_only:
+                key = u * n + v if u < v else v * n + u
+                if key in seen:
+                    break
+                seen.add(key)
+        else:
+            counts: dict[tuple[int, int], int] = {}
+            for u, v in zip(stubs[0::2], stubs[1::2]):
+                key = (u, v) if u < v else (v, u)
+                counts[key] = counts.get(key, 0) + 1
+            return Multigraph(n, counts)
+    raise GenerationError(
+        f"no acceptable {degree}-regular pairing on {n} vertices "
+        f"in {max_retries} attempts")

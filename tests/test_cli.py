@@ -5,6 +5,8 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -358,7 +360,9 @@ def test_enumerate_G3_searches_unchanged(capsys, monkeypatch):
     # matching and makes as many single-root searches as the walk did before
     # settled subtrees could be counted.  The analysis solve that starts it
     # skips its last exposed root, whose search must fail: one search fewer
-    # than a solve that searches every exposed root.
+    # than a solve that searches every exposed root.  A branch that needs
+    # more edges than half its live vertices is rejected without the search,
+    # which must fail too: 15876 of the walk's 32371 searches were such.
     searches = [0]
     augment = matching_mod._augment_from
 
@@ -371,7 +375,7 @@ def test_enumerate_G3_searches_unchanged(capsys, monkeypatch):
                            stdin_text=serialize_mgf(build_G(3)))
     assert code == EXIT_OK
     assert out.endswith("\ncount=17010 exhaustive=true\n")
-    assert searches[0] == 32371
+    assert searches[0] == 16495
 
 
 # sha256 of repr((name, argv, exit code, stdout, stderr)) over every run of
@@ -493,6 +497,30 @@ def test_hunt_infeasible_range(capsys):
         ["hunt", "--degree", "3", "--min-n", "9", "--max-n", "9"], capsys)
     assert code == EXIT_ERROR
     assert "no feasible vertex count" in err
+
+
+def test_hunt_rejects_max_n_beyond_the_mgf_vertex_limit(capsys, monkeypatch):
+    # rejected by validation, before any item is drawn
+    def refuse(config, index):
+        raise AssertionError(f"ran item {index}")
+
+    monkeypatch.setattr(sys.modules["matchex.hunt"], "_run_item", refuse)
+    code, out, err = run_cli(
+        ["hunt", "--degree", "4", "--max-n", "1000000000", "--count", "1"], capsys)
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert f"n_max must be <= {multigraph_mod.MGF_MAX_VERTICES}" in err
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # only a hunt with workers > 1 loads the process pool
+    src = os.path.dirname(os.path.dirname(multigraph_mod.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, matchex.cli; print('multiprocessing' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "False\n"
 
 
 def test_hunt_dump_dir_on_counterexample(tmp_path, capsys, monkeypatch):

@@ -7,6 +7,7 @@ import importlib
 import itertools
 import math
 import os
+import time
 from collections import Counter
 
 import pytest
@@ -29,9 +30,15 @@ from matchex import (
     random_regular_graph,
     serialize_mgf,
 )
+from matchex.multigraph import MGF_MAX_VERTICES
 from matchex.verify import METHOD_CERTIFICATE
 
-from conftest import complete_graph, cycle_graph, graph_from_edges
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    graph_from_edges,
+    reference_random_regular_graph,
+)
 
 # ------------------------------------------------------------ seed mixing
 
@@ -141,6 +148,39 @@ def test_random_regular_retry_exhaustion():
     assert g == cycle_graph(3)
 
 
+def _sample_outcome(sampler, n: int, d: int, seed: int, simple: bool, retries: int):
+    """What one sampler call gives: the graph with its MGF bytes, or the
+    type and message of what it raised."""
+    try:
+        g = sampler(n, d, seed, simple_only=simple, max_retries=retries)
+    except (GenerationError, ValueError) as exc:
+        return type(exc), str(exc)
+    return g, serialize_mgf(g)
+
+
+# every n <= 40, and n 200-300 at both parities; 25 attempts make some
+# draws exhaust the budget in each size band, d >= 4 simple ones above all
+ORACLE_SIZES = [*range(41), 200, 201, 250, 251, 299, 300]
+
+
+@pytest.mark.parametrize("simple", [True, False], ids=["simple", "multi"])
+@pytest.mark.parametrize("d", range(1, 7))
+def test_random_regular_matches_reference_sampler(d, simple):
+    # the per-mode pairing loops replay the one-loop sampler's draws and
+    # swaps: the same graph, the same MGF bytes, or the same exception
+    raised = accepted = 0
+    for n in ORACLE_SIZES:
+        for seed in range(50):
+            got = _sample_outcome(random_regular_graph, n, d, seed, simple, 25)
+            want = _sample_outcome(reference_random_regular_graph, n, d, seed, simple, 25)
+            assert got == want, (n, d, seed, simple)
+            raised += got[0] is GenerationError
+            accepted += isinstance(got[0], Multigraph)
+    assert accepted > 0
+    if d >= 4 and simple:
+        assert raised > 0
+
+
 def _chi_square(draws: list, weights: dict) -> float:
     """Pearson statistic of the draws against cell weights (any scale)."""
     total = sum(weights.values())
@@ -195,13 +235,26 @@ def test_random_regular_multigraph_follows_configuration_model():
 
 def test_hunt_config_feasible_sizes():
     cfg = HuntConfig(degree=3, n_min=8, n_max=12, count=1, seed=0)
-    assert cfg.feasible_sizes() == (8, 10, 12)
+    assert tuple(cfg.feasible_sizes()) == (8, 10, 12)
     cfg = HuntConfig(degree=4, n_min=2, n_max=6, count=1, seed=0)
-    assert cfg.feasible_sizes() == (5, 6)  # simple needs n > 4
+    assert tuple(cfg.feasible_sizes()) == (5, 6)  # simple needs n > 4
     cfg = HuntConfig(degree=4, n_min=2, n_max=6, count=1, seed=0, simple_only=False)
-    assert cfg.feasible_sizes() == (2, 3, 4, 5, 6)
+    assert tuple(cfg.feasible_sizes()) == (2, 3, 4, 5, 6)
     cfg = HuntConfig(degree=3, n_min=9, n_max=9, count=1, seed=0)
-    assert cfg.feasible_sizes() == ()
+    assert tuple(cfg.feasible_sizes()) == ()
+
+
+def test_hunt_config_n_max_bounded_by_the_mgf_vertex_limit():
+    # the sizes are a range, so the largest allowed n_max validates at once
+    # (a tuple of its 999991 sizes took 1.6 s)
+    cfg = HuntConfig(degree=4, n_min=10, n_max=MGF_MAX_VERTICES, count=1, seed=0)
+    start = time.perf_counter()
+    cfg.validate()
+    assert time.perf_counter() - start < 0.2
+    assert len(cfg.feasible_sizes()) == MGF_MAX_VERTICES - 9
+    for n_max in (MGF_MAX_VERTICES + 1, 10**9):
+        with pytest.raises(ValueError, match="n_max must be <= 1000000"):
+            HuntConfig(degree=4, n_min=10, n_max=n_max, count=1, seed=0).validate()
 
 
 @pytest.mark.parametrize(

@@ -181,6 +181,23 @@ def test_enumeration_depth_beyond_recursion_limit(build):
     assert elapsed < 30.0, f"first matching took {elapsed:.2f}s on n={g.n}"
 
 
+@pytest.mark.parametrize("build", [path_graph, cycle_graph])
+def test_first_matching_of_long_path_skips_searches_that_must_fail(monkeypatch, build):
+    # Below the first level, the branch leaving v exposed needs 2500 edges
+    # on 4999 or fewer live vertices, so the live count rejects it without
+    # a search: 1 search in all, where searching took 2501 searches and
+    # ~2 s (0.05 s now, both on a 2-vCPU x86 sandbox).
+    g = build(5001)
+    analysis = analyze(g)
+    searches = _count_calls(monkeypatch, matching_mod, "_augment_from")
+    start = time.perf_counter()
+    stats = visit_maximum_matchings(analysis, lambda m: False)
+    elapsed = time.perf_counter() - start
+    assert stats.count == 1 and not stats.exhaustive
+    assert searches[0] == 1
+    assert elapsed < 0.5, f"first matching took {elapsed:.2f}s on n={g.n}"
+
+
 # --------------------------------------------------------- oracle agreement
 
 

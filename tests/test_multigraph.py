@@ -31,6 +31,7 @@ from matchex import (
     serialize_mgf,
 )
 from matchex.cli import main
+from matchex.multigraph import _check_bundle
 
 from conftest import (
     CORPUS_SEED,
@@ -116,6 +117,54 @@ def test_from_bundles_rejects_bad_bundle(bad):
     # the constructor rejects a bad bundle next to a good one
     with pytest.raises(ValueError):
         Multigraph(3, {(0, 2): 1, bad[0]: bad[1]})
+
+
+def _verdict(check, *args):
+    """None when check(*args) returns, else the type and message it raised."""
+    try:
+        check(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def _bundle_args(draw):
+    """(n, u, v, m) for one bundle: mostly ints about [0, n), some of them
+    negative or out of range, and bools, floats and strings; half the
+    draws take u < v from [0, n)."""
+    n = draw(st.integers(0, 10))
+
+    def value(lo: int, hi: int):
+        kind = draw(st.sampled_from(["int"] * 6 + ["bool", "float", "str"]))
+        if kind == "int":
+            return draw(st.integers(lo, hi))
+        if kind == "bool":
+            return draw(st.booleans())
+        if kind == "float":
+            return draw(st.floats(lo, hi))
+        return draw(st.text(max_size=2))
+
+    if n >= 2 and draw(st.booleans()):
+        u, v = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                    unique=True)))
+    else:
+        u, v = value(-1, n), value(-1, n)
+    return n, u, v, value(-2, 3)
+
+
+@given(_bundle_args())
+@settings(max_examples=500)
+def test_property_constructor_checks_bundles_as_check_bundle(args):
+    n, u, v, m = args
+    # the constructor's inline test sends every bundle it does not pass to
+    # _check_bundle: the same bundles are accepted, and the rest raise the
+    # same exception with the same message
+    want = _verdict(_check_bundle, u, v, m, n)
+    assert _verdict(Multigraph, n, {(u, v): m}) == want
+    if want is None:
+        g = Multigraph(n, {(u, v): m})
+        assert list(g.bundles()) == [(u, v, m)]
 
 
 def test_degree_queries():
