@@ -246,7 +246,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except MGFParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:  # a crash must never read as a verdict

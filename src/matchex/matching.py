@@ -15,6 +15,8 @@ entry.  The module provides
   visited,
 * `tutte_berge_witness` - a deficiency-attaining vertex set read off an
   analysis, verified against its deficiency before it is returned.
+
+The solve, the enumerator and the D/A/C forest share one search routine.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .multigraph import Multigraph
 
@@ -66,8 +68,9 @@ class Matching:
 
 # -- blossom augmentation ---------------------------------------------------
 #
-# Array-based augmenting search with cycle contraction, deterministic:
-# roots are tried in ascending id order and adjacency lists are sorted.
+# One alternating-forest search with cycle contraction, deterministic: roots
+# are grown in the order given and adjacency lists are sorted.  The solver and
+# the enumerator grow one root; `_gallai_edmonds` grows every exposed vertex.
 # An `alive` mask lets the enumerator delete vertices without rebuilding,
 # and a search augments the `match` array it is given in place, so the
 # enumerator searches from the maximum matching a branch already holds.
@@ -77,20 +80,24 @@ class Matching:
 # missing from it holds only itself, so a search starts with an empty dict
 # and no per-vertex setup.  `_contract` collects the bases on the cycle,
 # moves their members under the new base, and queues the ones not yet
-# flagged in ascending vertex order.  That is the order a scan over all n
+# outer in ascending vertex order.  That is the order a scan over all n
 # vertices would queue them in, so every search visits vertices, and every
 # partner array comes out, exactly as with such a scan.
 
 
-def _augment_from(adj: list[tuple[int, ...]], alive: list[bool],
-                  match: list[int], root: int) -> bool:
+def _augment_from(adj: list[tuple[int, ...]], alive: list[bool], match: list[int],
+                  roots: Sequence[int]) -> Optional[list[bool]]:
+    """Grow an alternating forest from the exposed `roots`, in order.  At the
+    first exposed non-root reached at odd depth, augment `match` along the
+    path and return None; otherwise return the outer flags."""
     n = len(adj)
     p = [-1] * n
     base = list(range(n))
     members: dict[int, list[int]] = {}
-    used = [False] * n
-    used[root] = True
-    queue = deque((root,))
+    outer = [False] * n
+    for root in roots:
+        outer[root] = True
+    queue = deque(roots)
     while queue:
         v = queue.popleft()
         for to in adj[v]:
@@ -98,8 +105,8 @@ def _augment_from(adj: list[tuple[int, ...]], alive: list[bool],
                 continue
             if base[v] == base[to] or match[v] == to:
                 continue
-            if to == root or (match[to] != -1 and p[match[to]] != -1):
-                _contract(match, p, base, members, used, queue, v, to)
+            if outer[to]:
+                _contract(match, p, base, members, outer, queue, v, to)
             elif p[to] == -1:
                 p[to] = v
                 if match[to] == -1:
@@ -110,23 +117,23 @@ def _augment_from(adj: list[tuple[int, ...]], alive: list[bool],
                         match[u] = pv
                         match[pv] = u
                         u = ppv
-                    return True
-                used[match[to]] = True
+                    return None
+                outer[match[to]] = True
                 queue.append(match[to])
-    return False
+    return outer
 
 
 def _contract(match: list[int], p: list[int], base: list[int],
-              members: dict[int, list[int]], flagged: list[bool],
+              members: dict[int, list[int]], outer: list[bool],
               queue: deque[int], v: int, to: int) -> None:
     """Contract the odd cycle closed by the edge v-to into one blossom whose
-    base is the stems' junction; flag and queue, ascending, the absorbed
-    vertices not flagged yet."""
+    base is the stems' junction; mark outer and queue, ascending, the
+    absorbed vertices not outer yet."""
     cur = _lca(match, p, base, v, to)
     marked: set[int] = set()
     _mark_path(match, p, base, marked, v, cur, to)
     _mark_path(match, p, base, marked, to, cur, v)
-    # cur is outer, and its blossom's members were flagged when it formed
+    # cur is outer, and so were its blossom's members when it formed
     marked.discard(cur)
     into = members.get(cur)
     if into is None:
@@ -136,16 +143,18 @@ def _contract(match: list[int], p: list[int], base: list[int],
         group = members.pop(b, None) or [b]
         for i in group:
             base[i] = cur
-            if not flagged[i]:
+            if not outer[i]:
                 fresh.append(i)
         into.extend(group)
     fresh.sort()
     for i in fresh:
-        flagged[i] = True
+        outer[i] = True
     queue.extend(fresh)
 
 
 def _lca(match: list[int], p: list[int], base: list[int], a: int, b: int) -> int:
+    """The base where the stems of a and b meet.  b's stem reaching an
+    exposed base off a's stem means two trees met: an augmenting path."""
     seen = set()
     while True:
         a = base[a]
@@ -157,6 +166,10 @@ def _lca(match: list[int], p: list[int], base: list[int], a: int, b: int) -> int
         b = base[b]
         if b in seen:
             return b
+        if match[b] == -1:
+            raise RuntimeError(
+                f"alternating forest joins the trees of exposed vertices {a} and {b}: "
+                "the matching is not maximum; matching implementation is buggy")
         b = p[match[b]]
 
 
@@ -187,7 +200,7 @@ def _solve_matching(adj: list[tuple[int, ...]]) -> list[int]:
     alive = [True] * n
     for root in roots:
         if match[root] == -1:
-            left -= 1 + (left > 1 and _augment_from(adj, alive, match, root))
+            left -= 1 + (left > 1 and _augment_from(adj, alive, match, (root,)) is None)
     return match
 
 
@@ -288,7 +301,7 @@ def visit_maximum_matchings(analysis: MatchingAnalysis,
         if 2 * need > live_count:  # too few live vertices: every search fails
             return None
         for root in freed:
-            if _augment_from(adj, alive, m2, root):
+            if _augment_from(adj, alive, m2, (root,)) is None:
                 return m2
         return None
 
@@ -455,43 +468,13 @@ def _gallai_edmonds(adj: list[tuple[int, ...]], match: list[int]) -> GallaiEdmon
 
     Edmonds' search grows a tree from every exposed vertex at once,
     contracting blossoms, until no outer vertex has an unexplored edge; D
-    is then exactly the set of outer (even) vertices.  An edge joining two
-    outer vertices of different trees would close an augmenting path, so it
-    raises: the matching was not maximum.
+    is then exactly the set of outer (even) vertices.  Every exposed vertex
+    is a root, so the search cannot augment: an edge joining two outer
+    vertices of different trees would close an augmenting path, and `_lca`
+    raises on it, since the matching was not maximum.
     """
     n = len(adj)
-    p = [-1] * n
-    base = list(range(n))
-    members: dict[int, list[int]] = {}
-    outer = [False] * n
-    tree = [-1] * n  # exposed root of the tree a reached vertex belongs to
-    queue: deque[int] = deque()
-    for v in range(n):
-        if match[v] == -1:
-            outer[v] = True
-            tree[v] = v
-            queue.append(v)
-    while queue:
-        v = queue.popleft()
-        for to in adj[v]:
-            if base[v] == base[to] or match[v] == to:
-                continue
-            if outer[to]:
-                # Exposed vertices are outer roots from the start, so one is
-                # never reached at odd depth: an edge to it from another
-                # tree is caught here.
-                if tree[to] != tree[v]:
-                    raise RuntimeError(
-                        f"alternating forest joins the trees of exposed vertices "
-                        f"{tree[v]} and {tree[to]}: the matching is not maximum; "
-                        "matching implementation is buggy")
-                _contract(match, p, base, members, outer, queue, v, to)
-            elif p[to] == -1:
-                p[to] = v
-                mate = match[to]
-                tree[to] = tree[mate] = tree[v]
-                outer[mate] = True
-                queue.append(mate)
+    outer = _augment_from(adj, [True] * n, match, [v for v in range(n) if match[v] == -1])
     d = {v for v in range(n) if outer[v]}
     a = {w for v in d for w in adj[v]} - d
     c = set(range(n)) - d - a

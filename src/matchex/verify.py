@@ -173,6 +173,7 @@ def weak_counterexample_certificate(
     seen: set[int] = set()
     for cls in classes:
         g._check_vertex(cls.hub)
+        hub_neighbors = g.support_neighbors(cls.hub)
         if not cls.members:
             raise ValueError(f"class with hub {cls.hub} has no members")
         if seen & cls.members:
@@ -180,7 +181,7 @@ def weak_counterexample_certificate(
         seen |= cls.members
         for v in cls.members:
             g._check_vertex(v)
-            if v not in g.support_neighbors(cls.hub):
+            if v not in hub_neighbors:
                 raise ValueError(f"hub {cls.hub} is not adjacent to member {v}")
     d = analysis.ge.d
     if not d <= seen:

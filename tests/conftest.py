@@ -467,7 +467,8 @@ def reference_visit_maximum_matchings(
             for root in range(n):
                 if size >= want:
                     break
-                if alive[root] and m2[root] == -1 and _augment_from(adj, alive, m2, root):
+                if (alive[root] and m2[root] == -1
+                        and _augment_from(adj, alive, m2, (root,)) is None):
                     size += 1
         for x in killed:
             alive[x] = True

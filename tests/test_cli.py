@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -271,6 +272,20 @@ def test_verify_crash_is_internal_error_not_verdict(capsys, monkeypatch):
     assert "internal error: RecursionError: maximum recursion depth exceeded" in err
 
 
+def test_verify_key_error_is_internal_error_not_usage_error(capsys, monkeypatch):
+    # argparse choices and FamilySpec validate every input first, so a
+    # KeyError can only come from a bug: it must not read as bad usage
+    def crash(*args, **kwargs):
+        raise KeyError("bug")
+
+    monkeypatch.setattr("matchex.verify.conjecture_holds", crash)
+    code, out, err = run_cli(["verify"], capsys, monkeypatch,
+                             stdin_text=serialize_mgf(build_B(2)))
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert "internal error: KeyError: 'bug'" in err
+
+
 @pytest.mark.parametrize("mode", ["conjecture", "some-pair", "all-pairs"])
 def test_verify_asymmetric_partner_array_is_internal_error(capsys, monkeypatch, mode):
     # the solver's partner array is checked before any verdict is read off
@@ -363,19 +378,21 @@ def test_enumerate_G3_searches_unchanged(capsys, monkeypatch):
     # than a solve that searches every exposed root.  A branch that needs
     # more edges than half its live vertices is rejected without the search,
     # which must fail too: 15876 of the walk's 32371 searches were such.
-    searches = [0]
+    # The same routine grows the analysis forest, once, from G3's 4 exposed
+    # vertices; searches are counted by how many roots they grow from.
+    roots = Counter()
     augment = matching_mod._augment_from
 
-    def counted(*args):
-        searches[0] += 1
-        return augment(*args)
+    def counted(adj, alive, match, from_roots):
+        roots[len(from_roots)] += 1
+        return augment(adj, alive, match, from_roots)
 
     monkeypatch.setattr(matching_mod, "_augment_from", counted)
     code, out, _ = run_cli(["enumerate"], capsys, monkeypatch,
                            stdin_text=serialize_mgf(build_G(3)))
     assert code == EXIT_OK
     assert out.endswith("\ncount=17010 exhaustive=true\n")
-    assert searches[0] == 16495
+    assert roots == {1: 16495, 4: 1}
 
 
 # sha256 of repr((name, argv, exit code, stdout, stderr)) over every run of

@@ -406,7 +406,7 @@ def test_masked_search_matches_full_scan_on_acceptance_corpus():
             ref = match.copy()
             for root in range(g.n):
                 if alive[root] and match[root] == -1:
-                    found = matching_mod._augment_from(adj, alive, match, root)
+                    found = matching_mod._augment_from(adj, alive, match, (root,)) is None
                     assert found == conftest._full_scan_augment_from(adj, alive, ref, root)
                     assert match == ref
                     assert all(match[v] == -1 for v in range(g.n) if not alive[v])
@@ -558,6 +558,52 @@ def test_gallai_edmonds_raises_on_non_maximum_matching(monkeypatch):
     with pytest.raises(RuntimeError, match="matching implementation is buggy"):
         analyze(path_graph(3))
 
+
+
+def test_gallai_edmonds_raises_when_trees_meet_through_a_blossom():
+    # 0-1-2 is a blossom of 0's tree with base 0, and 3's tree reaches it
+    # through 2: the stems meet only at two different exposed bases
+    g = graph_from_edges(4, [(0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 3, 1)])
+    with pytest.raises(RuntimeError, match="the matching is not maximum"):
+        matching_mod._gallai_edmonds(g.support_adjacency(), [-1, 2, 1, -1])
+
+
+def _assert_forest_raises_iff_not_maximum(g: Multigraph, rng: random.Random) -> bool:
+    # A random valid matching: support edges in random order, each taken
+    # with probability 1/2 when both ends are free.  The forest must raise
+    # exactly when it is not maximum, and read the canonical D/A/C otherwise.
+    adj = g.support_adjacency()
+    edges = [(v, w) for v in range(g.n) for w in adj[v] if v < w]
+    rng.shuffle(edges)
+    match = [-1] * g.n
+    for v, w in edges:
+        if match[v] == match[w] == -1 and rng.random() < 0.5:
+            match[v], match[w] = w, v
+    short = conftest.match_size(match) < brute_force_matching_number(g)
+    try:
+        ge = matching_mod._gallai_edmonds(adj, match)
+    except RuntimeError as exc:
+        assert short and "the matching is not maximum" in str(exc)
+    else:
+        assert not short
+        assert ge == deletion_gallai_edmonds(g)
+    return short
+
+
+def test_gallai_edmonds_raises_iff_not_maximum_on_acceptance_corpus():
+    corpus = random_graph_corpus(seed=CORPUS_SEED, count=500,
+                                 max_n=12, max_support_edges=32)
+    raised = 0
+    for i, g in enumerate(corpus):
+        rng = random.Random(derive_item_seed(CORPUS_SEED, i))
+        for _ in range(6):
+            raised += _assert_forest_raises_iff_not_maximum(g, rng)
+    assert 500 < raised < 2500
+
+
+@given(small_multigraphs(), st.randoms(use_true_random=False))
+def test_property_gallai_edmonds_raises_iff_not_maximum(g, rng):
+    _assert_forest_raises_iff_not_maximum(g, rng)
 
 ASYMMETRIC_PARTNER_ARRAYS = [
     # 1 is claimed by both 0 and 2; read edge by edge, this would be a

@@ -489,8 +489,9 @@ def test_property_skipping_changes_no_report(g):
 def test_F5_some_pair_settled_at_the_root_by_strong_certificate(monkeypatch):
     # Every two triangle vertices of F5 share a hub, so every maximum matching
     # passes SomePair: the walk counts the 4320 matchings below the root and
-    # visits the first, as AllPairs does (1540 searches each; checking every
-    # matching for a sharing pair took 5388).
+    # visits the first, as AllPairs does (1479 single-root searches each, plus
+    # the two-root analysis forest; checking every matching for a sharing pair
+    # took 5388 searches, before the enumerator's live-vertex prune).
     searches, visits = [0], [0]
     augment = matching_mod._augment_from
     enumerate_all = verify_mod.visit_maximum_matchings
@@ -542,6 +543,6 @@ def test_G4_some_pair_counts_settled_matchings(monkeypatch):
     report = is_counterexample(build_G(4), PairMode.SOME_PAIR)
     assert (report.verdict, report.method, report.matchings_examined, report.exhaustive) == (
         Verdict.COUNTEREXAMPLE, METHOD_CERTIFICATE, DEFAULT_CAP, False)
-    # visiting all 100000 matchings takes 138805 searches
+    # visiting all 100000 matchings takes 79949 single-root searches
     assert searches[0] <= 10_000
     assert visits[0] <= 10
